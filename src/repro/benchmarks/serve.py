@@ -1,7 +1,7 @@
 """Benchmark: batched serving vs a per-request exhaustive re-sweep.
 
 The ``repro.serve`` claim is architectural: answering ``recommend``
-queries from a digest-keyed frontier cache plus a micro-batched compute
+queries from a digest-keyed frontier cache plus a single-lane compute
 path is at least 20x faster than what the CLI did before the service
 existed — re-running ``recommend_exhaustive`` from a cold
 operating-point cache for every query.  This benchmark times both arms

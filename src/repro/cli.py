@@ -403,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=32, help="frontier-cache LRU capacity"
     )
     p_serve.add_argument(
-        "--tick-ms", type=float, default=2.0, help="micro-batch coalescing tick [ms]"
-    )
-    p_serve.add_argument(
         "--slo-p95-ms",
         type=float,
         default=250.0,
@@ -1030,7 +1027,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_capacity=args.cache_size,
-        tick_s=args.tick_ms / 1000.0,
         slo_p95_s=args.slo_p95_ms / 1000.0,
         precompute=tuple(_split_csv(args.precompute) or ()),
         max_requests=args.max_requests,
@@ -1047,7 +1043,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"[serve] listening on http://{service.host}:{service.port} "
             f"(SLO p95 {config.slo_p95_s * 1e3:g} ms, "
-            f"cache {config.cache_capacity}, tick {config.tick_s * 1e3:g} ms)",
+            f"cache {config.cache_capacity})",
             flush=True,
         )
         try:
@@ -1120,23 +1116,21 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(envelope, indent=2))
     else:
-        print(
-            render_kv(
-                {
-                    "mode": result.mode,
-                    "attempted": result.attempted,
-                    "completed": result.completed,
-                    "shed (503)": result.shed,
-                    "errors": result.errors,
-                    "infeasible": result.infeasible,
-                    "throughput [req/s]": result.throughput_rps,
-                    "p50 latency [ms]": result.p50_s * 1e3,
-                    "p95 latency [ms]": result.p95_s * 1e3,
-                    "p99 latency [ms]": result.p99_s * 1e3,
-                },
-                title=f"Loadgen against /recommend (seed {seed})",
-            )
-        )
+        rows = {
+            "mode": result.mode,
+            "attempted": result.attempted,
+            "completed": result.completed,
+            "shed (503)": result.shed,
+            "errors": result.errors,
+            "infeasible": result.infeasible,
+            "throughput [req/s]": result.throughput_rps,
+            "p50 latency [ms]": result.p50_s * 1e3,
+            "p95 latency [ms]": result.p95_s * 1e3,
+            "p99 latency [ms]": result.p99_s * 1e3,
+        }
+        if result.lateness_s:
+            rows["generator lateness p99 [ms]"] = result.lateness_p99_s * 1e3
+        print(render_kv(rows, title=f"Loadgen against /recommend (seed {seed})"))
     return rc
 
 

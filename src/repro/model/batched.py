@@ -374,7 +374,7 @@ def evaluate_space_arrays(
 
 
 # ----------------------------------------------------------------------
-# Batched multi-query answering
+# Deadline queries against one evaluated space
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class DeadlineStaircase:
@@ -387,9 +387,8 @@ class DeadlineStaircase:
     prefix-best winner at every position under exactly the exhaustive
     search's comparator — minimum energy, ties toward the faster
     configuration, then toward enumeration order.  A query is then one
-    ``searchsorted`` (O(log n)), and a batch of queries is one vectorized
-    ``searchsorted`` over all of them — the ``model.batched`` multi-query
-    entry point the serving layer's micro-batcher rides.
+    ``searchsorted`` (O(log n)): the serving layer answers every cached
+    ``recommend`` this way.
 
     Bit-identity contract: ``best_index(d)`` equals the configuration
     index :func:`repro.cluster.search.recommend_exhaustive` materialises
@@ -412,9 +411,8 @@ class DeadlineStaircase:
     def best_index(self, deadline_s: float) -> int:
         """The winning configuration index for one deadline (-1: infeasible).
 
-        Scalar fast path: one ``searchsorted`` call and no array
-        round-trips — this sits on the serving layer's per-request hot
-        path, where the batch entry point's asarray/where/astype overhead
+        One ``searchsorted`` call and no array round-trips — this sits on
+        the serving layer's per-request hot path, where array conversions
         would dominate the O(log n) lookup itself.
         """
         d = float(deadline_s)
@@ -424,21 +422,6 @@ class DeadlineStaircase:
             return -1
         pos = int(np.searchsorted(self.tp_sorted, d, side="right")) - 1
         return int(self.best_idx[pos]) if pos >= 0 else -1
-
-    def best_indices(self, deadlines_s: Sequence[float]) -> np.ndarray:
-        """Winning configuration indices for a whole batch of deadlines.
-
-        One vectorized ``searchsorted`` pass; entries are -1 where no
-        feasible configuration meets the deadline.
-        """
-        deadlines = np.asarray(deadlines_s, dtype=float)
-        if np.any(deadlines <= 0) or np.any(np.isnan(deadlines)):
-            raise ModelError("deadlines must be positive numbers")
-        if self.tp_sorted.shape[0] == 0:
-            return np.full(deadlines.shape, -1, dtype=np.int64)
-        pos = np.searchsorted(self.tp_sorted, deadlines, side="right") - 1
-        out = np.where(pos >= 0, self.best_idx[np.maximum(pos, 0)], -1)
-        return out.astype(np.int64)
 
 
 def deadline_staircase(

@@ -5,17 +5,17 @@ which is exactly right for the offline pipelines it instruments and
 exactly wrong for the serving path, where dozens of requests interleave
 on one event loop and each needs its *own* nested span tree.  This
 module supplies the per-request layer :mod:`repro.serve` wires through
-admission, cache, batching and compute:
+admission, cache and the compute lane:
 
 :class:`RequestContext`
     One request's trace: an id (client-supplied header or generated),
     the admission decision, the cache outcome, and a nested stage tree
     (``parse``/``admission``/``cache``/``batch.queue``/``batch.compute``
     /``lookup``/``render``).  Stages opened with :meth:`~RequestContext.stage`
-    nest via a per-context stack; work attributed from *another* task
-    (the batcher's drain loop, the compute callback) lands with explicit
-    timings via :meth:`~RequestContext.add_stage`, parented under
-    whatever stage the request coroutine currently holds open.
+    nest via a per-context stack; work timed on *another* thread (the
+    compute lane's queue wait and compute) lands with explicit timings
+    via :meth:`~RequestContext.add_stage`, parented under whatever stage
+    the request coroutine currently holds open.
 
 :class:`TailSampler`
     Tail-based keep/drop decided at request *completion*: errors, sheds
@@ -278,11 +278,11 @@ class RequestContext:
 
         ``start_s`` is an absolute ``perf_counter`` reading.  The stage is
         parented under whatever the request coroutine holds open *now* —
-        which is exactly right for the two cross-task callers (the
-        batcher's drain loop and the compute return path both run while
-        the request awaits inside its ``cache`` stage).  Ignored once the
-        request has finished, so a late client-side timeout cannot mutate
-        a trace already in the flight ring.
+        which is exactly right for the compute lane, which stamps
+        ``batch.queue`` and ``batch.compute`` while the request is still
+        inside its ``cache`` stage.  Ignored once the request has
+        finished, so a late client-side timeout cannot mutate a trace
+        already in the flight ring.
         """
         if not self.traced or self._finished:
             return

@@ -5,18 +5,17 @@ sweep from scratch inside a fresh process.  This package turns the
 reproduction into the latency-critical scale-out workload it models
 (the Subramaniam & Feng framing in PAPERS.md): a long-lived asyncio
 service that precomputes and caches Pareto frontiers and deadline
-staircases per configuration digest, coalesces concurrent queries into
-one vectorized ``model.batched`` evaluation per tick, and sheds load at
-an occupancy threshold derived from our own M/D/1 p95 model — the
-scheduler schedules itself.
+staircases per configuration digest, computes each cold digest once on
+a single compute lane, and sheds load at an occupancy threshold derived
+from our own M/D/1 p95 model — the scheduler schedules itself.
 
 Layers (each its own module, composable and separately tested):
 
 * :mod:`repro.serve.cache` — the digest-keyed LRU frontier cache with
   single-flight computation;
 * :mod:`repro.serve.admission` — M/D/1-derived admission control;
-* :mod:`repro.serve.batching` — the micro-batching tick queue with
-  per-request deadline tracking;
+* :mod:`repro.serve.batching` — the compute lane: one cold compute at
+  a time on a worker thread, with per-request deadline tracking;
 * :mod:`repro.serve.service` — the asyncio HTTP server and endpoint
   handlers (stdlib only, no new runtime deps);
 * :mod:`repro.serve.loadgen` — the open/closed-loop load generator and
@@ -29,7 +28,7 @@ configuration digest (pinned by ``tests/serve/test_service.py`` and the
 """
 
 from repro.serve.admission import AdmissionController, derive_occupancy_limit
-from repro.serve.batching import BatchQuery, MicroBatcher
+from repro.serve.batching import BatchTimeout, MicroBatcher
 from repro.serve.cache import FrontierCache, FrontierEntry, request_digest
 from repro.serve.service import ServeConfig, ServeStats, ReproService
 from repro.serve.loadgen import (
@@ -44,7 +43,7 @@ from repro.serve.loadgen import (
 __all__ = [
     "AdmissionController",
     "derive_occupancy_limit",
-    "BatchQuery",
+    "BatchTimeout",
     "MicroBatcher",
     "FrontierCache",
     "FrontierEntry",

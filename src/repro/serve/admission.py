@@ -3,9 +3,10 @@
 The paper's response-time analysis models the cluster dispatcher as an
 M/D/1 queue and reads p95 response times off Franx's waiting-time
 distribution (:mod:`repro.queueing.md1`).  The serving layer applies the
-same model to *its own* request queue: requests arrive (approximately)
-Poisson, the micro-batcher drains them in near-deterministic per-request
-compute time, so the service is its own M/D/1 system.
+same model to *its own* compute queue: cold requests arrive
+(approximately) Poisson and the compute lane
+(:mod:`repro.serve.batching`) serves them one at a time in
+near-deterministic time, so the service is its own M/D/1 system.
 
 :func:`derive_occupancy_limit` inverts the model: given the measured
 per-request service time ``D`` and the p95 response-time SLO, bisection
@@ -16,10 +17,18 @@ system-size distribution says a compliant queue exceeds only 5% of the
 time.  A request arriving to a deeper queue is shed (HTTP 503) instead
 of blowing the tail for everyone behind it.
 
+The derivation rests on the model's scale invariance: the M/D/1 p95 is
+``D * g(rho)``, with ``g`` the p95 at ``D = 1``, and the system-size
+distribution depends on ``rho`` alone.  The bisection therefore tests
+``g(mid) <= SLO / D`` against ``g`` memoised per ``rho``; every (D, SLO)
+pair walks the same tree of midpoints, so a re-derivation mostly reads
+the memo, and the costly probes near saturation (Franx's sum needs
+``O(1/(1 - rho))`` terms) run only when the target lies up there.
+
 The controller re-derives the threshold whenever its service-time
-estimate (an EWMA over measured batch computes) drifts beyond a relative
+estimate (an EWMA over measured computes) drifts beyond a relative
 tolerance, so a workload shift — e.g. cold keys forcing full sweeps —
-tightens admission within a few ticks, and a warm cache relaxes it.
+tightens admission within a few computes, and a warm cache relaxes it.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import get_registry
@@ -45,6 +54,9 @@ __all__ = [
 #: unstable queue.
 _RHO_LO, _RHO_HI = 1e-6, 0.999
 
+#: The bisection stops once the utilisation bracket is this narrow.
+_RHO_TOL = 1e-4
+
 #: Depth percentile backing the occupancy threshold: the queue is allowed
 #: to look like a compliant M/D/1 queue's 95th-percentile depth, no more.
 _DEPTH_PERCENTILE = 0.95
@@ -52,6 +64,15 @@ _DEPTH_PERCENTILE = 0.95
 #: Hard ceiling on the derived depth so a very loose SLO cannot produce an
 #: unbounded (memory-hostile) admission queue.
 _MAX_DEPTH = 4096
+
+#: Service-time prior (seconds) before the first compute is measured.
+_INITIAL_SERVICE_TIME_S = 1e-3
+
+#: EWMA weight of each new service-time sample.
+_EWMA_ALPHA = 0.2
+
+#: Relative drift of the service-time estimate that triggers a re-derivation.
+_REDERIVE_REL = 0.25
 
 
 @dataclass(frozen=True)
@@ -70,14 +91,26 @@ class OccupancyLimit:
     p95_at_limit_s: float
 
 
-def derive_occupancy_limit(
-    service_time_s: float, slo_p95_s: float, *, tol: float = 1e-4
-) -> OccupancyLimit:
+@lru_cache(maxsize=4096)
+def _unit_model(rho: float) -> Tuple[float, int]:
+    """``(g, depth)`` at utilisation ``rho``: the M/D/1 p95 response at
+    ``D = 1``, and the smallest depth ``n >= 1`` (capped) with
+    ``P(L <= n) >= 0.95``.  The p95 at any ``D`` is ``D * g``."""
+    queue = MD1Queue.from_utilisation(rho, 1.0)
+    p95 = queue.p95_response_s()
+    depth = 1
+    while depth < _MAX_DEPTH and queue.system_size_cdf(depth) < _DEPTH_PERCENTILE:
+        depth += 1
+    return p95, depth
+
+
+def derive_occupancy_limit(service_time_s: float, slo_p95_s: float) -> OccupancyLimit:
     """Derive the shed threshold from the M/D/1 p95 model.
 
     Bisection on utilisation: p95 response of an M/D/1 queue is strictly
     increasing in ``rho`` at fixed ``D``, so the largest SLO-compliant
-    ``rho*`` brackets cleanly.  The depth threshold is the 95th
+    ``rho*`` brackets cleanly.  The bracket top is probed only once the
+    bisection has converged against it.  The depth threshold is the 95th
     percentile of the stationary system size at ``rho*`` (at least 1 —
     a service that cannot meet its SLO even empty still serves one
     request at a time rather than shedding everything).
@@ -86,53 +119,29 @@ def derive_occupancy_limit(
         raise ReproError(f"service time must be positive, got {service_time_s}")
     if slo_p95_s <= 0:
         raise ReproError(f"p95 SLO must be positive, got {slo_p95_s}")
-    return _derive_cached(float(service_time_s), float(slo_p95_s), float(tol))
-
-
-@lru_cache(maxsize=256)
-def _derive_cached(
-    service_time_s: float, slo_p95_s: float, tol: float
-) -> OccupancyLimit:
-    """The derivation proper, memoized: it is pure and ~0.2 s per call
-    (the bisection walks Franx's waiting-time distribution repeatedly),
-    and every service boot with default settings asks for the same
-    (1 ms, SLO) point.  :class:`OccupancyLimit` is frozen, so sharing one
-    instance across controllers is safe."""
-
-    def p95(rho: float) -> float:
-        return MD1Queue.from_utilisation(rho, service_time_s).p95_response_s()
-
-    if p95(_RHO_LO) > slo_p95_s:
-        # Even an idle queue misses the SLO (D alone exceeds it): admit
-        # one request at a time and let the SLO monitor flag the miss.
-        return OccupancyLimit(
-            rho_star=_RHO_LO,
-            depth=1,
-            service_time_s=service_time_s,
-            slo_p95_s=slo_p95_s,
-            p95_at_limit_s=p95(_RHO_LO),
-        )
-    lo, hi = _RHO_LO, _RHO_HI
-    if p95(hi) <= slo_p95_s:
-        lo = hi
-    else:
-        while hi - lo > tol:
+    d, slo = float(service_time_s), float(slo_p95_s)
+    target = slo / d
+    lo = _RHO_LO
+    # When even an idle queue misses the SLO (D alone exceeds it), rho*
+    # stays at the bracket bottom: serial admission, and the SLO monitor
+    # flags the miss.
+    if _unit_model(lo)[0] <= target:
+        hi = _RHO_HI
+        while hi - lo > _RHO_TOL:
             mid = 0.5 * (lo + hi)
-            if p95(mid) <= slo_p95_s:
+            if _unit_model(mid)[0] <= target:
                 lo = mid
             else:
                 hi = mid
-    rho_star = lo
-    queue = MD1Queue.from_utilisation(rho_star, service_time_s)
-    depth = 1
-    while depth < _MAX_DEPTH and queue.system_size_cdf(depth) < _DEPTH_PERCENTILE:
-        depth += 1
+        if hi == _RHO_HI and _unit_model(hi)[0] <= target:
+            lo = hi
+    g, depth = _unit_model(lo)
     return OccupancyLimit(
-        rho_star=rho_star,
+        rho_star=lo,
         depth=depth,
-        service_time_s=service_time_s,
-        slo_p95_s=slo_p95_s,
-        p95_at_limit_s=queue.p95_response_s(),
+        service_time_s=d,
+        slo_p95_s=slo,
+        p95_at_limit_s=d * g,
     )
 
 
@@ -159,29 +168,16 @@ class AdmissionController:
     """Shed-or-admit decisions against a model-derived occupancy limit.
 
     ``observe(service_time_s)`` feeds measured per-request compute times
-    into an EWMA; when the estimate drifts more than ``rederive_rel``
-    from the one the current limit was derived with, the threshold is
-    re-derived from the M/D/1 model.  ``admit(depth)`` is the hot-path
-    check: True when a request arriving to ``depth`` queued/in-flight
-    requests should be admitted.
+    into an EWMA (starting from a 1 ms prior); when the estimate drifts
+    more than 25% from the one the current limit was derived with, the
+    threshold is re-derived from the M/D/1 model.  ``admit(depth)`` is
+    the hot-path check: True when a request arriving to ``depth``
+    waiting computes should be admitted.
     """
 
-    def __init__(
-        self,
-        slo_p95_s: float,
-        *,
-        initial_service_time_s: float = 1e-3,
-        ewma_alpha: float = 0.2,
-        rederive_rel: float = 0.25,
-    ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ReproError(f"EWMA alpha must be in (0, 1], got {ewma_alpha}")
-        if rederive_rel <= 0:
-            raise ReproError(f"rederive tolerance must be positive, got {rederive_rel}")
+    def __init__(self, slo_p95_s: float) -> None:
         self.slo_p95_s = float(slo_p95_s)
-        self._alpha = float(ewma_alpha)
-        self._rederive_rel = float(rederive_rel)
-        self._estimate_s = float(initial_service_time_s)
+        self._estimate_s = _INITIAL_SERVICE_TIME_S
         self._limit = derive_occupancy_limit(self._estimate_s, self.slo_p95_s)
         self.shed_total = 0
         self.admitted_total = 0
@@ -205,9 +201,9 @@ class AdmissionController:
         """
         if service_time_s <= 0 or math.isnan(service_time_s):
             return
-        self._estimate_s += self._alpha * (service_time_s - self._estimate_s)
+        self._estimate_s += _EWMA_ALPHA * (service_time_s - self._estimate_s)
         anchor = self._limit.service_time_s
-        if abs(self._estimate_s - anchor) > self._rederive_rel * anchor:
+        if abs(self._estimate_s - anchor) > _REDERIVE_REL * anchor:
             self._limit = derive_occupancy_limit(self._estimate_s, self.slo_p95_s)
             self.rederivations += 1
             registry = get_registry()

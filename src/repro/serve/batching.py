@@ -1,281 +1,143 @@
-"""Micro-batching tick queue: coalesce concurrent queries into one evaluation.
+"""The compute lane: admitted cold computes, one at a time, off the loop.
 
-Concurrent requests rarely need *separate* sweeps: ten ``recommend``
-queries against the same (workload, space, budget) digest are one
-staircase build plus one vectorized ``best_indices`` call
-(:class:`repro.model.batched.DeadlineStaircase`).  The micro-batcher is
-the funnel that makes this happen: requests missing the cache enqueue
-``(query, future)`` pairs; a background drain task wakes when work
-arrives, sleeps one *tick* to let concurrent arrivals pile up, then
-drains the queue (up to ``max_batch``) and hands the whole batch to the
-service's compute callback, which groups it by digest and performs one
-vectorized evaluation per distinct digest.
+A request that misses the frontier cache needs one full sweep (or one
+schedule replay).  The service runs each such compute as one call on a
+single-worker thread executor, so the event loop keeps answering cache
+hits (and shedding) while NumPy works, and computes never overlap.
+Concurrent misses on one digest reach the lane once: the cache's
+single-flight guard (:meth:`repro.serve.cache.FrontierCache.get_or_compute`)
+has already collapsed them.
 
-Per-request deadline tracking: every query carries an absolute loop-time
-deadline (from the client's timeout or the server default).  Queries
-already expired when the drain picks them up are failed with
-:class:`BatchTimeout` *without* being computed — a request nobody is
-waiting for anymore must not consume a sweep.
+Three guards ride every call:
 
-The batch callback runs in a single-worker thread executor so the event
-loop keeps accepting (and shedding) requests while NumPy works; a single
-worker serialises batches, preserving the one-evaluation-per-tick
-contract.
+* **Deadline.** Each submission carries an absolute deadline (its
+  timeout).  A compute whose deadline passed before its turn came fails
+  with :class:`BatchTimeout` (HTTP 504) and never runs — a request
+  nobody is waiting for must not consume a sweep.
+* **Depth.** :attr:`MicroBatcher.depth` counts admitted computes that
+  have not started: the queue the admission controller's M/D/1 model
+  describes (:mod:`repro.serve.admission`).
+* **Trace.** The submitting request's context gets ``batch.queue``
+  (submit to compute start) and ``batch.compute`` stages.
+
+The class name and the ``batching`` counter names of :meth:`stats` are
+the ones the benchmark's layer tracer (``bench/layers.py``) and serve
+workloads read; every compute counts once in both counters.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.metrics import get_registry
-from repro.obs.tracing import span
 
-__all__ = ["BatchQuery", "BatchTimeout", "MicroBatcher"]
+__all__ = ["BatchTimeout", "MicroBatcher"]
 
-#: Default tick: long enough to coalesce a burst arriving over one event-loop
-#: scheduling quantum, short enough to be invisible next to a cold sweep.
-DEFAULT_TICK_S = 0.002
-
-#: Default drain bound per tick.
-DEFAULT_MAX_BATCH = 256
+_SHUT_DOWN = "service shut down before the query was computed"
 
 
 class BatchTimeout(ReproError):
-    """A query's deadline expired before its batch was computed."""
-
-
-def _fail(future: "asyncio.Future[Any]", exc: BaseException) -> None:
-    """Deliver a failure, marking it retrieved in case the waiter is gone
-    (an expired query's client already timed out; the loop must not log a
-    never-retrieved exception for it)."""
-    if future.done():
-        return
-    future.set_exception(exc)
-    future.exception()
-
-
-@dataclass
-class BatchQuery:
-    """One enqueued query: an opaque payload plus its completion future."""
-
-    payload: Any
-    future: "asyncio.Future[Any]"
-    #: Absolute event-loop time after which the query is abandoned
-    #: (None: wait as long as it takes).
-    deadline: Optional[float] = None
-    #: Filled by the drain loop: when the query left the queue.
-    drained_at: float = field(default=0.0)
-    #: The submitting request's trace context
-    #: (:class:`repro.obs.request.RequestContext`), when it has one; the
-    #: drain loop attributes queue-wait time to it.
-    ctx: Optional[Any] = None
-    #: ``perf_counter`` at enqueue (the trace timebase; ``deadline`` stays
-    #: on the event-loop clock).
-    enqueued_pc: float = field(default=0.0)
+    """A query's deadline passed (or the service shut down) before its
+    compute finished."""
 
 
 class MicroBatcher:
-    """The tick-driven coalescing queue in front of the compute path.
+    """The single compute lane in front of the cold path.
 
-    ``compute_batch(payloads) -> results`` is called with every payload
-    drained in one tick and must return one result per payload, in
-    order; a result that is an ``Exception`` instance is delivered as a
-    failure to that query alone.  ``compute_batch`` runs on the
-    single-worker executor, so it must not touch the event loop.
+    ``await submit(fn)`` runs ``fn()`` on the lane's one worker thread and
+    returns its result (or raises its exception, to that caller alone).
+    ``observe``, when given, receives each finished compute's wall time
+    on the loop thread — the admission controller's service-time sample.
     """
 
-    def __init__(
-        self,
-        compute_batch: Callable[[Sequence[Any]], Sequence[Any]],
-        *,
-        tick_s: float = DEFAULT_TICK_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ) -> None:
-        if tick_s < 0:
-            raise ReproError(f"tick must be >= 0, got {tick_s}")
-        if max_batch < 1:
-            raise ReproError(f"max batch must be >= 1, got {max_batch}")
-        self._compute_batch = compute_batch
-        self.tick_s = float(tick_s)
-        self.max_batch = int(max_batch)
-        self._queue: "asyncio.Queue[BatchQuery]" = asyncio.Queue()
+    def __init__(self, observe: Optional[Callable[[float], None]] = None) -> None:
+        self._observe = observe
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-batch"
+            max_workers=1, thread_name_prefix="repro-serve-compute"
         )
-        self._drain_task: Optional["asyncio.Task[None]"] = None
+        self._lock = threading.Lock()
+        self._waiting = 0
         self._closed = False
-        self.batches = 0
-        self.batched_queries = 0
+        self.computes = 0
         self.expired = 0
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        """Start the drain loop on the running event loop."""
-        if self._drain_task is None:
-            self._closed = False
-            self._drain_task = asyncio.get_running_loop().create_task(
-                self._drain_loop(), name="repro-serve-batcher"
-            )
-
-    async def close(self) -> None:
-        """Stop the drain loop and fail any still-queued queries."""
-        self._closed = True
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
-            self._drain_task = None
-        while not self._queue.empty():
-            query = self._queue.get_nowait()
-            _fail(
-                query.future,
-                BatchTimeout("service shut down before the query was computed"),
-            )
-        self._executor.shutdown(wait=False)
 
     @property
     def depth(self) -> int:
-        """Queries currently awaiting a tick (the admission-control input)."""
-        return self._queue.qsize()
+        """Admitted computes that have not started (the admission input)."""
+        return self._waiting
 
-    # -- submission --------------------------------------------------------
     async def submit(
         self,
-        payload: Any,
+        fn: Callable[[], Any],
         *,
         timeout_s: Optional[float] = None,
         ctx: Optional[Any] = None,
     ) -> Any:
-        """Enqueue one query and await its batched result.
+        """Run ``fn()`` on the lane once every earlier submission has run.
 
-        Raises :class:`BatchTimeout` when ``timeout_s`` elapses before the
-        result lands (whether still queued or mid-compute).  ``ctx`` (a
-        :class:`repro.obs.request.RequestContext`) rides the query so the
-        drain loop can attribute queue-wait time to the request's trace.
+        Raises :class:`BatchTimeout` when ``timeout_s`` elapses first
+        (still waiting or mid-compute) or the lane closes before the
+        compute starts.  ``ctx`` (a
+        :class:`repro.obs.request.RequestContext`) receives the
+        ``batch.queue`` and ``batch.compute`` stages.
         """
-        if self._closed or self._drain_task is None:
-            raise ReproError("micro-batcher is not running (call start())")
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Any]" = loop.create_future()
-        deadline = loop.time() + timeout_s if timeout_s is not None else None
-        self._queue.put_nowait(
-            BatchQuery(
-                payload=payload,
-                future=future,
-                deadline=deadline,
-                ctx=ctx,
-                enqueued_pc=perf_counter(),
-            )
-        )
-        if timeout_s is None:
-            return await future
+        if self._closed:
+            raise BatchTimeout(_SHUT_DOWN)
+        queued = perf_counter()
+        deadline = math.inf if timeout_s is None else queued + timeout_s
+        with self._lock:
+            self._waiting += 1
+        job = self._executor.submit(self._run, fn, deadline)
+        future = asyncio.wrap_future(job)
         try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout=timeout_s)
-        except asyncio.TimeoutError:
+            done, _ = await asyncio.wait((future,), timeout=timeout_s)
+        finally:
+            future.cancel()  # no-op once done; else a late result is dropped
+            if job.cancel():  # it never started, so _run never counted it out
+                with self._lock:
+                    self._waiting -= 1
+        if not done:
             raise BatchTimeout(
-                f"query timed out after {timeout_s:g}s awaiting its batch"
-            ) from None
+                f"query timed out after {timeout_s:g}s awaiting its compute"
+            )
+        if future.cancelled():  # only close() cancels a job behind our back
+            raise BatchTimeout(_SHUT_DOWN)
+        started, result, finished = future.result()
+        if ctx is not None:
+            ctx.add_stage("batch.queue", start_s=queued, wall_s=started - queued)
+            ctx.add_stage("batch.compute", start_s=started, wall_s=finished - started)
+        if self._observe is not None:
+            self._observe(finished - started)
+        return result
 
-    # -- drain loop --------------------------------------------------------
-    async def _drain_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            first = await self._queue.get()
-            try:
-                if self.tick_s > 0:
-                    await asyncio.sleep(self.tick_s)  # let the burst pile up
-            except asyncio.CancelledError:
-                # Shutdown mid-tick: the query already left the queue, so
-                # close()'s drain cannot see it — fail it here instead of
-                # leaving its waiter to hit the full client timeout.
-                _fail(
-                    first.future,
-                    BatchTimeout("service shut down before the query was computed"),
-                )
-                raise
-            batch = [first]
-            while len(batch) < self.max_batch and not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-            now = loop.time()
-            now_pc = perf_counter()
-            live: List[BatchQuery] = []
-            for query in batch:
-                query.drained_at = now
-                if query.ctx is not None:
-                    query.ctx.add_stage(
-                        "batch.queue",
-                        start_s=query.enqueued_pc,
-                        wall_s=now_pc - query.enqueued_pc,
-                    )
-                if query.future.done():
-                    continue  # already timed out client-side
-                if query.deadline is not None and now > query.deadline:
-                    self.expired += 1
-                    _fail(
-                        query.future,
-                        BatchTimeout("query deadline expired before compute"),
-                    )
-                    continue
-                live.append(query)
-            if not live:
-                continue
-            await self._compute(live)
+    def _run(self, fn: Callable[[], Any], deadline: float) -> Tuple[float, Any, float]:
+        """The worker thread, when this compute's turn has come."""
+        started = perf_counter()
+        with self._lock:
+            self._waiting -= 1
+            if started > deadline:
+                self.expired += 1
+                raise BatchTimeout("query deadline expired before compute")
+            self.computes += 1
+        return started, fn(), perf_counter()
 
-    async def _compute(self, live: List[BatchQuery]) -> None:
-        loop = asyncio.get_running_loop()
-        payloads = [q.payload for q in live]
-        try:
-            with span("serve.batch", size=str(len(live))):
-                results = await loop.run_in_executor(
-                    self._executor, self._compute_batch, payloads
-                )
-            if len(results) != len(payloads):
-                raise ReproError(
-                    f"batch compute returned {len(results)} results for "
-                    f"{len(payloads)} queries"
-                )
-        except BaseException as exc:  # noqa: BLE001 - delivered per-query
-            for query in live:
-                _fail(query.future, exc)
-            if isinstance(exc, asyncio.CancelledError):
-                raise  # swallowing would orphan the cancelled drain task
-            return
-        self.batches += 1
-        self.batched_queries += len(live)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_serve_batches_total",
-                help="Micro-batches computed by the serve drain loop",
-            ).inc()
-            registry.histogram(
-                "repro_serve_batch_size",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-                help="Queries coalesced per micro-batch",
-            ).observe(len(live))
-        for query, result in zip(live, results):
-            if query.future.done():
-                continue
-            if isinstance(result, Exception):
-                _fail(query.future, result)
-            else:
-                query.future.set_result(result)
+    def close(self) -> None:
+        """Fail every compute that has not started, without waiting for
+        the one that is running (it finishes on its thread)."""
+        self._closed = True
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
     def stats(self) -> Dict[str, float]:
-        """Batch counters for ``/stats`` and the shutdown summary."""
+        """Lane counters for ``/stats``."""
         return {
-            "batches": float(self.batches),
-            "batched_queries": float(self.batched_queries),
+            "batches": float(self.computes),
+            "batched_queries": float(self.computes),
             "expired": float(self.expired),
-            "mean_batch_size": (
-                self.batched_queries / self.batches if self.batches else 0.0
-            ),
+            "mean_batch_size": 1.0 if self.computes else 0.0,
             "depth": float(self.depth),
         }

@@ -13,11 +13,14 @@ Two modes:
   previous answer lands (think-time zero).  Throughput is
   demand-limited; this is the mode the benchmark and the serving-SLO
   monitor use because it is robust to machine speed.
-* **open** — request start times drawn from a
+* **open** — request due times drawn from a
   :mod:`repro.queueing.processes` arrival process (``poisson``,
   ``mmpp``, ``flash-crowd``, ``diurnal``) at a target rate, dispatched
   regardless of completions — the mode that can actually overload the
-  service and exercise admission control.
+  service and exercise admission control.  Latency runs from each
+  request's *due* time, so a backlog (requests waiting for a free
+  connection or queued in the server) is counted, not hidden; the
+  generator's own lateness against its schedule is reported beside it.
 
 The query plan is seeded (``RngRegistry(seed).stream("serve/loadgen")``)
 and replayable: a priming pass fetches each workload's frontier (cold
@@ -88,6 +91,10 @@ class LoadgenResult:
     request_records: Tuple[Tuple[str, int, float], ...] = ()
     #: Responses whose ``X-Repro-Request-Id`` echo matched the id sent.
     id_echoes: int = 0
+    #: Open loop only: how late the generator issued each request after
+    #: its due time.  Large values mean the latencies describe the
+    #: generator, not the service.
+    lateness_s: Tuple[float, ...] = ()
 
     @property
     def throughput_rps(self) -> float:
@@ -114,6 +121,13 @@ class LoadgenResult:
     def p99_s(self) -> float:
         """99th-percentile client-side latency."""
         return self.latency_percentile_s(99.0)
+
+    @property
+    def lateness_p99_s(self) -> float:
+        """99th-percentile generator lateness (NaN in closed mode)."""
+        if not self.lateness_s:
+            return math.nan
+        return float(np.percentile(np.asarray(self.lateness_s), 99.0))
 
     @property
     def mean_s(self) -> float:
@@ -183,6 +197,7 @@ def loadgen_envelope(
         },
         "throughput_rps": result.throughput_rps,
         "wall_s": result.wall_s,
+        "lateness_p99_s": result.lateness_p99_s if result.lateness_s else None,
         "statuses": dict(result.statuses),
         "request_ids": _request_id_section(result),
         "server": dict(result.server_stats) if result.server_stats else None,
@@ -423,9 +438,16 @@ async def run_loadgen(
     tally = _Tally(keep_responses=collect_responses)
     id_prefix = f"lg-{seed & 0xFFFFFFFF:08x}"
 
-    async def fire(client: _HttpClient, index: int, body: Mapping[str, object]) -> None:
+    async def fire(
+        client: _HttpClient,
+        index: int,
+        body: Mapping[str, object],
+        t0: Optional[float] = None,
+    ) -> None:
+        """One request; its latency runs from ``t0`` (default: now)."""
         rid = f"{id_prefix}-{index:06d}"
-        t0 = perf_counter()
+        if t0 is None:
+            t0 = perf_counter()
         try:
             status, doc = await asyncio.wait_for(
                 client.request(
@@ -449,6 +471,7 @@ async def run_loadgen(
             echoed=client.last_headers.get("x-repro-request-id") == rid,
         )
 
+    lateness: List[float] = []
     t_start = perf_counter()
     if mode == "closed":
         cursor = {"next": 0}
@@ -482,12 +505,14 @@ async def run_loadgen(
         async def dispatch(
             at_s: float, index: int, body: Mapping[str, object]
         ) -> None:
-            delay = at_s - (perf_counter() - t_start)
+            due = t_start + at_s
+            delay = due - perf_counter()
             if delay > 0:
                 await asyncio.sleep(delay)
+            lateness.append(perf_counter() - due)
             client = await pool.get()
             try:
-                await fire(client, index, body)
+                await fire(client, index, body, t0=due)
             finally:
                 pool.put_nowait(client)
 
@@ -529,6 +554,7 @@ async def run_loadgen(
         responses=tuple(tally.responses),
         request_records=tuple(tally.records),
         id_echoes=tally.id_echoes,
+        lateness_s=tuple(lateness),
     )
 
 

@@ -30,10 +30,10 @@ is answered inline — an O(log n) staircase lookup on the event loop,
 never queued, never shed.  A cold digest first passes admission control
 (:class:`repro.serve.admission.AdmissionController`, threshold derived
 from our own M/D/1 p95 model; HTTP 503 when the compute queue is too
-deep), then rides the micro-batcher
+deep), then runs as one call on the compute lane
 (:class:`repro.serve.batching.MicroBatcher`) under the cache's
-single-flight guard, so one tick computes each distinct digest at most
-once no matter how many requests ask for it concurrently.
+single-flight guard, so each distinct digest is computed at most once
+no matter how many requests ask for it concurrently.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,12 +62,7 @@ from repro.obs.request import (
 )
 from repro.obs.tracing import span
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_TICK_S,
-    BatchTimeout,
-    MicroBatcher,
-)
+from repro.serve.batching import BatchTimeout, MicroBatcher
 from repro.serve.cache import DEFAULT_CAPACITY, FrontierCache, request_digest
 
 __all__ = [
@@ -119,10 +115,8 @@ class ServeConfig:
     #: 0 binds an ephemeral port; read it back from :attr:`ReproService.port`.
     port: int = 0
     cache_capacity: int = DEFAULT_CAPACITY
-    tick_s: float = DEFAULT_TICK_S
-    max_batch: int = DEFAULT_MAX_BATCH
     slo_p95_s: float = DEFAULT_SLO_P95_S
-    #: Compute timeout per request (queued + batched + evaluated).
+    #: Compute timeout per request (queued + evaluated).
     request_timeout_s: float = DEFAULT_TIMEOUT_S
     #: Workload names whose default spaces are swept at startup, so the
     #: first real request hits a warm cache.
@@ -257,7 +251,7 @@ def _normalize_schedule_params(params: Dict[str, object]) -> Dict[str, object]:
 def _build_space_payload(params: Mapping[str, object]) -> _SpacePayload:
     """Evaluate one space and precompute its answer machinery.
 
-    Runs on the batcher's compute thread: ONE vectorized
+    Runs on the compute lane's worker thread: ONE vectorized
     :func:`evaluate_space_arrays` pass over the whole configuration
     space, one staircase build, one Pareto pass — everything later
     requests against this digest will ever need.
@@ -343,12 +337,12 @@ def _run_schedule(params: Mapping[str, object]) -> Dict[str, object]:
 
 
 class ReproService:
-    """The asyncio HTTP service tying cache, batcher and admission together.
+    """The asyncio HTTP service tying cache, compute lane and admission together.
 
     Lifecycle::
 
         service = ReproService(ServeConfig(precompute=("EP",)))
-        await service.start()          # batcher + precompute + listener
+        await service.start()          # precompute + listener
         ...                            # service.port is now bound
         await service.run_until_stopped(duration_s=60)
         await service.close()
@@ -358,11 +352,7 @@ class ReproService:
         self.config = config or ServeConfig()
         self.cache = FrontierCache(self.config.cache_capacity)
         self.admission = AdmissionController(self.config.slo_p95_s)
-        self.batcher = MicroBatcher(
-            self._compute_batch,
-            tick_s=self.config.tick_s,
-            max_batch=self.config.max_batch,
-        )
+        self.batcher = MicroBatcher(observe=self.admission.observe)
         self.stats_counters = ServeStats()
         self.recorder = RequestRecorder(
             slo_p95_s=self.config.slo_p95_s,
@@ -380,16 +370,17 @@ class ReproService:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Start the batcher, warm the precompute set, bind the listener."""
+        """Warm the precompute set, bind the listener."""
         if self._server is not None:
             raise ReproError("service already started")
         self._stop_event = asyncio.Event()
-        self.batcher.start()
         for name in self.config.precompute:
             params = dict(_SPACE_DEFAULTS)
             params["workload"] = name
             await self.cache.get_or_compute(
-                request_digest(params), params, lambda p=params: self._compute_entry("space", p)
+                request_digest(params),
+                params,
+                lambda p=params: self._compute_entry(_build_space_payload, p),
             )
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.config.host, port=self.config.port
@@ -426,18 +417,18 @@ class ReproService:
             pass
 
     async def close(self) -> None:
-        """Stop listening and tear the batcher down.
+        """Stop listening and fail every compute that has not started.
 
         Dumps the flight ring first when a burn alert is still active —
         the operator stopping a misbehaving service is exactly when the
         post-mortem must not be lost.
         """
         self.recorder.on_shutdown()
+        self.batcher.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.batcher.close()
         if self._stop_event is not None:
             self._stop_event.set()
 
@@ -457,7 +448,6 @@ class ReproService:
         """Flat scalars for the one ``cli/serve`` shutdown ledger record."""
         cache = self.cache.stats()
         admission = self.admission.stats()
-        batching = self.batcher.stats()
         return {
             "requests_total": float(self.stats_counters.total),
             "cache_hits": cache["hits"],
@@ -466,61 +456,28 @@ class ReproService:
             "cache_evictions": cache["evictions"],
             "shed": admission["shed"],
             "admission_depth_limit": admission["depth_limit"],
-            "batches": batching["batches"],
-            "mean_batch_size": batching["mean_batch_size"],
+            "computes": float(self.batcher.computes),
             **self.recorder.summary_scalars(),
         }
 
     # -- compute path ------------------------------------------------------
-    def _compute_batch(self, payloads: Sequence[Any]) -> List[Any]:
-        """The micro-batcher's compute callback (runs on the worker thread).
-
-        One drained tick's payloads, computed back to back on one thread;
-        a per-payload failure becomes that query's exception without
-        poisoning the rest of the batch.
-        """
-        results: List[Any] = []
-        for payload in payloads:
-            kind, params = payload
-            t0 = perf_counter()
-            try:
-                if kind == "space":
-                    obj: Any = _build_space_payload(params)
-                elif kind == "schedule":
-                    obj = _run_schedule(params)
-                else:
-                    raise ReproError(f"unknown compute payload kind {kind!r}")
-            except Exception as exc:  # noqa: BLE001 - delivered per-query
-                results.append(exc)
-                continue
-            results.append({"payload": obj, "elapsed_s": perf_counter() - t0})
-        return results
-
     async def _compute_entry(
         self,
-        kind: str,
+        compute: Callable[[Mapping[str, object]], Any],
         params: Mapping[str, object],
         ctx: Optional[RequestContext] = None,
     ) -> Any:
-        """Submit one cold compute through the batcher; feed admission.
+        """Run ``compute(params)`` on the compute lane for one cold digest.
 
-        The leader request's context rides the batch query: the drain
-        loop stamps ``batch.queue`` (enqueue to drain) and this return
-        path stamps ``batch.compute`` from the worker's measured elapsed
-        time, both nesting under the request's open ``cache`` stage.
+        The lane stamps the leader request's ``batch.queue`` and
+        ``batch.compute`` stages (nested under its open ``cache`` stage)
+        and feeds the compute's wall time to admission control.
         """
-        out = await self.batcher.submit(
-            (kind, dict(params)), timeout_s=self.config.request_timeout_s, ctx=ctx
+        return await self.batcher.submit(
+            partial(compute, dict(params)),
+            timeout_s=self.config.request_timeout_s,
+            ctx=ctx,
         )
-        self.admission.observe(out["elapsed_s"])
-        if ctx is not None:
-            ctx.add_stage(
-                "batch.compute",
-                start_s=perf_counter() - out["elapsed_s"],
-                wall_s=out["elapsed_s"],
-                kind=kind,
-            )
-        return out["payload"]
 
     def _admit_or_shed(self, digest: str, ctx: RequestContext) -> None:
         """Admission check for one digest, recorded on the request trace."""
@@ -553,7 +510,7 @@ class ReproService:
             entry, was_hit = await self.cache.get_or_compute(
                 digest,
                 params,
-                lambda: self._compute_entry("space", params, ctx),
+                lambda: self._compute_entry(_build_space_payload, params, ctx),
                 ctx=ctx,
             )
             st.set(hit=was_hit)
@@ -638,7 +595,7 @@ class ReproService:
             entry, was_hit = await self.cache.get_or_compute(
                 digest,
                 params,
-                lambda: self._compute_entry("schedule", params, ctx),
+                lambda: self._compute_entry(_run_schedule, params, ctx),
                 ctx=ctx,
             )
             st.set(hit=was_hit)

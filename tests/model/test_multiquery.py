@@ -1,11 +1,11 @@
-"""The batched multi-query staircase vs the exhaustive-search oracle.
+"""The deadline staircase vs the exhaustive-search oracle.
 
 The serving layer answers every cached ``recommend`` query through
 :func:`repro.model.batched.deadline_staircase`; these tests pin its
 bit-identity contract — for any deadline (and any power-budget
 feasibility mask), the staircase's winner is EXACTLY the configuration
 :func:`repro.cluster.search.recommend_exhaustive` materialises, floats
-and all — plus the vectorized batch path and its edge cases.
+and all — plus the lookup's edge cases.
 """
 
 from __future__ import annotations
@@ -88,19 +88,13 @@ class TestOracleBitIdentity:
 
 
 class TestBatchPath:
-    def test_batch_equals_scalar_loop(self, ep_arrays, ep_staircase):
-        deadlines = _deadline_grid(ep_arrays)
-        batch = ep_staircase.best_indices(deadlines)
-        scalar = np.array([ep_staircase.best_index(float(d)) for d in deadlines])
-        np.testing.assert_array_equal(batch, scalar)
-
     def test_infeasible_deadline_is_minus_one(self, ep_arrays, ep_staircase):
         too_tight = float(ep_arrays.tp_s.min()) * 0.25
         assert ep_staircase.best_index(too_tight) == -1
 
     def test_winner_energy_is_monotone_in_deadline(self, ep_arrays, ep_staircase):
         deadlines = np.sort(_deadline_grid(ep_arrays))
-        idx = ep_staircase.best_indices(deadlines)
+        idx = np.array([ep_staircase.best_index(float(d)) for d in deadlines])
         feasible = idx[idx >= 0]
         energies = ep_arrays.energy_j[feasible]
         assert np.all(np.diff(energies) <= 0.0 + 1e-30) or np.all(
@@ -109,9 +103,11 @@ class TestBatchPath:
 
     def test_rejects_nonpositive_deadlines(self, ep_staircase):
         with pytest.raises(ModelError):
-            ep_staircase.best_indices([10.0, -1.0])
+            ep_staircase.best_index(-1.0)
         with pytest.raises(ModelError):
-            ep_staircase.best_indices([0.0])
+            ep_staircase.best_index(0.0)
+        with pytest.raises(ModelError):
+            ep_staircase.best_index(float("nan"))
 
     def test_rejects_bad_mask_shape(self, ep_arrays):
         with pytest.raises(ModelError):
@@ -123,6 +119,4 @@ class TestBatchPath:
         )
         assert stairs.n_feasible == 0
         assert stairs.best_index(1e9) == -1
-        np.testing.assert_array_equal(
-            stairs.best_indices([1.0, 2.0]), np.array([-1, -1])
-        )
+        assert stairs.best_index(1.0) == -1

@@ -6,10 +6,70 @@ import pytest
 
 from repro.errors import ReproError
 from repro.queueing.md1 import MD1Queue
+from repro.serve import admission
 from repro.serve.admission import AdmissionController, derive_occupancy_limit
+
+#: ``(D, SLO, rho*, depth)`` from the direct bisection on the M/D/1 p95 at
+#: each D (one fresh MD1Queue per probe, bracket top probed first), which
+#: the scale-invariant derivation must reproduce exactly.  Rows with
+#: D > SLO are the serial-admission case.
+PINNED = (
+    (0.0002, 0.01, 0.9699153733520507, 49),
+    (0.0002, 0.1, 0.9969878560180665, 497),
+    (0.0002, 0.25, 0.9987561037597656, 1204),
+    (0.0002, 1.0, 0.999, 1498),
+    (0.001, 0.01, 0.8480282272949219, 9),
+    (0.001, 0.1, 0.9849759661865234, 99),
+    (0.001, 0.25, 0.9940001270751953, 249),
+    (0.001, 1.0, 0.9984512334594726, 967),
+    (0.005, 0.01, 0.28700590069580084, 1),
+    (0.005, 0.1, 0.9244896986083985, 19),
+    (0.005, 0.25, 0.9699153733520507, 49),
+    (0.005, 1.0, 0.9924757755737303, 199),
+    (0.02, 0.01, 1e-06, 1),
+    (0.02, 0.1, 0.6937638553466798, 4),
+    (0.02, 0.25, 0.8786981795043944, 12),
+    (0.02, 1.0, 0.9699153733520507, 49),
+    (0.03, 0.01, 1e-06, 1),
+    (0.03, 0.1, 0.5404140942993165, 3),
+    (0.03, 0.25, 0.8172973010253907, 8),
+    (0.03, 1.0, 0.9547938064575194, 33),
+    (0.1, 0.01, 1e-06, 1),
+    (0.1, 0.1, 0.049999729248046874, 1),
+    (0.1, 0.25, 0.39102764715576177, 2),
+    (0.1, 1.0, 0.8480282272949219, 9),
+    (0.5, 0.01, 1e-06, 1),
+    (0.5, 0.1, 1e-06, 1),
+    (0.5, 0.25, 1e-06, 1),
+    (0.5, 1.0, 0.28700590069580084, 1),
+)
 
 
 class TestDeriveOccupancyLimit:
+    @pytest.mark.parametrize("d, slo, rho_star, depth", PINNED)
+    def test_matches_the_pinned_grid(self, d, slo, rho_star, depth):
+        limit = derive_occupancy_limit(d, slo)
+        assert (limit.rho_star, limit.depth) == (rho_star, depth)
+
+    def test_no_probe_near_saturation_for_a_serving_point(self, monkeypatch):
+        # D = 30 ms against a 250 ms SLO puts rho* near 0.82: the costly
+        # probes close to rho = 1 must never run.
+        probed = []
+        p95 = MD1Queue.p95_response_s
+
+        def spy(queue):
+            probed.append(queue.utilisation)
+            return p95(queue)
+
+        monkeypatch.setattr(MD1Queue, "p95_response_s", spy)
+        admission._unit_model.cache_clear()
+        try:
+            limit = derive_occupancy_limit(0.03, 0.25)
+        finally:
+            admission._unit_model.cache_clear()
+        assert limit.depth == 8
+        assert probed and max(probed) <= 0.99
+
     def test_limit_meets_the_slo_by_construction(self):
         limit = derive_occupancy_limit(0.001, 0.25)
         assert 0.0 < limit.rho_star < 1.0
@@ -64,9 +124,7 @@ class TestAdmissionController:
         assert ctrl.shed_total == 1
 
     def test_observe_rederives_on_sustained_drift(self):
-        ctrl = AdmissionController(
-            slo_p95_s=0.25, initial_service_time_s=0.001
-        )
+        ctrl = AdmissionController(slo_p95_s=0.25)  # 1 ms prior
         fast_depth = ctrl.limit.depth
         for _ in range(30):  # EWMA converges onto the 50 ms reality
             ctrl.observe(0.05)
@@ -95,9 +153,3 @@ class TestAdmissionController:
             "shed",
             "rederivations",
         }
-
-    def test_invalid_controller_settings_raise(self):
-        with pytest.raises(ReproError):
-            AdmissionController(slo_p95_s=0.25, ewma_alpha=0.0)
-        with pytest.raises(ReproError):
-            AdmissionController(slo_p95_s=0.25, rederive_rel=0.0)

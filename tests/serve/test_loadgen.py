@@ -1,6 +1,7 @@
 """Load-generator contracts: seeded plans, both loop modes, the envelope."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -71,6 +72,66 @@ class TestOpenLoop:
         assert result.attempted == 10
         assert result.completed + result.shed + result.errors == 10
         assert result.errors == 0
+
+
+async def _slow_server(reader, writer):
+    """A keep-alive HTTP server that answers /recommend after 50 ms."""
+    try:
+        while True:
+            line = await reader.readline()
+            if not line:
+                return
+            path = line.decode("latin-1").split()[1]
+            length = 0
+            while True:
+                header = await reader.readline()
+                if header in (b"\r\n", b""):
+                    break
+                key, _, value = header.decode("latin-1").partition(":")
+                if key.strip().lower() == "content-length":
+                    length = int(value)
+            if length:
+                await reader.readexactly(length)
+            if path == "/recommend":
+                await asyncio.sleep(0.05)
+                doc = {"feasible": True}
+            else:  # the priming /frontier and the closing /stats
+                doc = {"points": [{"tp_s": 1.0}, {"tp_s": 2.0}]}
+            body = json.dumps(doc).encode()
+            writer.write(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            await writer.drain()
+    finally:
+        writer.close()
+
+
+class TestOpenLoopBacklog:
+    def test_latency_runs_from_the_due_time(self):
+        # 10 requests due within ~0.1 s share one connection to a server
+        # that takes 50 ms each: the last answer lands >= 0.5 s after the
+        # first send, so waiting for the connection must count.
+        async def scenario():
+            server = await asyncio.start_server(_slow_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await run_loadgen(
+                    "127.0.0.1", port, mode="open", clients=1,
+                    total_requests=10, rate_rps=100.0, seed=7,
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        result = asyncio.run(scenario())
+        assert result.completed == 10
+        assert result.wall_s >= 0.5
+        assert max(result.latencies_s) >= 0.3  # the backlog is reported
+        assert len(result.lateness_s) == 10
+        assert result.lateness_p99_s < 0.1  # ... and it is not the generator's
+        envelope = loadgen_envelope(result, {})
+        assert envelope["lateness_p99_s"] == result.lateness_p99_s
 
 
 class TestEnvelope:
