@@ -37,7 +37,6 @@ materialise any configuration by index without evaluating it again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -382,46 +381,45 @@ class DeadlineStaircase:
 
     The exhaustive search answers *one* deadline query with a full argmin
     over the space.  A long-lived service answers *many* deadline queries
-    against the same space, so this precomputes the answer staircase once:
-    feasible configurations sorted by ascending execution time, with a
-    prefix-best winner at every position under exactly the exhaustive
-    search's comparator — minimum energy, ties toward the faster
-    configuration, then toward enumeration order.  A query is then one
-    ``searchsorted`` (O(log n)): the serving layer answers every cached
-    ``recommend`` this way.
+    against the same space, so this precomputes the answer staircase once.
+    Walking the feasible configurations in ascending execution time, the
+    winner under exactly the exhaustive search's comparator — minimum
+    energy, ties toward the faster configuration, then toward enumeration
+    order — changes only at a *step*: a configuration strictly cheaper than
+    every one before it.  The staircase keeps only its steps (a handful,
+    however large the space), and a query is one ``searchsorted`` over
+    them: the serving layer answers every cached ``recommend`` this way.
 
     Bit-identity contract: ``best_index(d)`` equals the configuration
     index :func:`repro.cluster.search.recommend_exhaustive` materialises
     for the same deadline and feasibility mask (pinned in
     ``tests/model/test_multiquery.py``), so answers served from a cached
-    staircase are byte-identical to a fresh offline sweep.
+    staircase are byte-identical to a fresh offline sweep.  Every point of
+    the energy-deadline frontier is a step, so for finite energies
+    :func:`repro.cluster.pareto.pareto_indices` over the step rows returns
+    the frontier of the whole feasible space.
     """
 
-    #: Feasible execution times, ascending (searchsorted key).
-    tp_sorted: np.ndarray
-    #: Configuration index (into the originating arrays) of the winner
-    #: among the first ``p + 1`` feasible configurations.
-    best_idx: np.ndarray
-
-    @property
-    def n_feasible(self) -> int:
-        """Number of feasible configurations behind the staircase."""
-        return int(self.tp_sorted.shape[0])
+    #: Execution times of the steps, ascending (the searchsorted key).
+    step_tp_s: np.ndarray
+    #: Configuration index (into the originating arrays) of each step.
+    step_idx: np.ndarray
+    #: Number of feasible configurations behind the staircase.
+    n_feasible: int
 
     def best_index(self, deadline_s: float) -> int:
         """The winning configuration index for one deadline (-1: infeasible).
 
-        One ``searchsorted`` call and no array round-trips — this sits on
-        the serving layer's per-request hot path, where array conversions
-        would dominate the O(log n) lookup itself.
+        The last step at or under the deadline.  One ``searchsorted`` call
+        and no array round-trips — this sits on the serving layer's
+        per-request hot path, where array conversions would dominate the
+        O(log n) lookup itself.
         """
         d = float(deadline_s)
         if not d > 0.0:  # also catches NaN
             raise ModelError("deadlines must be positive numbers")
-        if self.tp_sorted.shape[0] == 0:
-            return -1
-        pos = int(np.searchsorted(self.tp_sorted, d, side="right")) - 1
-        return int(self.best_idx[pos]) if pos >= 0 else -1
+        pos = int(np.searchsorted(self.step_tp_s, d, side="right")) - 1
+        return int(self.step_idx[pos]) if pos >= 0 else -1
 
 
 def deadline_staircase(
@@ -430,7 +428,8 @@ def deadline_staircase(
 ) -> DeadlineStaircase:
     """Build the :class:`DeadlineStaircase` of one evaluated space.
 
-    ``feasible_mask`` restricts the space (e.g. a power budget's
+    One stable sort and one running minimum.  ``feasible_mask`` restricts
+    the space (e.g. a power budget's
     :meth:`~repro.cluster.budget.PowerBudget.fits_mask`); the staircase
     then answers deadline queries over the restricted space only.
     """
@@ -445,24 +444,19 @@ def deadline_staircase(
             )
         candidates = np.flatnonzero(mask)
     tp = arrays.tp_s[candidates]
-    energy = arrays.energy_j[candidates]
     # Ascending time; time-ties stay in enumeration order (stable sort),
     # matching recommend_exhaustive's lexsort tie-breaking exactly.
     order = np.argsort(tp, kind="stable")
-    tp_sorted = tp[order]
-    energy_sorted = energy[order]
-    cand_sorted = candidates[order]
-    # Prefix-best under (energy, tp, enumeration index): at each position
-    # the winner so far.  Strict energy improvement advances the winner;
-    # an energy tie advances only on strictly smaller time (impossible
-    # here — times ascend — except for exact time-ties, where the earlier
-    # enumeration index must win, i.e. keep the incumbent).
-    best_idx = np.empty_like(cand_sorted)
-    best_e = math.inf
-    best = -1
-    for p in range(cand_sorted.shape[0]):
-        if energy_sorted[p] < best_e:
-            best_e = energy_sorted[p]
-            best = cand_sorted[p]
-        best_idx[p] = best
-    return DeadlineStaircase(tp_sorted=tp_sorted, best_idx=best_idx)
+    energy = arrays.energy_j[candidates][order]
+    # A step is strictly cheaper than everything before it: an energy tie
+    # keeps the incumbent, which is faster or, among exact time-ties,
+    # earlier in enumeration order.  The +inf seed and the NaN-skipping
+    # fmin make non-finite energies behave as under a scalar `<` scan:
+    # never a step, never the incumbent.
+    prior_min = np.fmin.accumulate(np.concatenate(([np.inf], energy[:-1])))
+    steps = order[energy < prior_min]
+    return DeadlineStaircase(
+        step_tp_s=tp[steps],
+        step_idx=candidates[steps],
+        n_feasible=int(candidates.shape[0]),
+    )

@@ -2,8 +2,9 @@
 
 The cache maps one *configuration digest* — the same
 :func:`repro.obs.ledger.config_digest` the run ledger stamps on every
-record — to the precomputed answer machinery for that configuration: the
-evaluated space arrays, the deadline staircase, and the Pareto frontier.
+record — to the precomputed answers for that configuration: the deadline
+staircase's steps, one rendered answer per step, and the Pareto frontier
+(the evaluated space arrays they are built from are not kept).
 Because the key is a digest of the *configuration* parameters only,
 invalidation is free: mutate any workload/budget parameter and the digest
 changes, so the next request misses and recomputes; stale entries age out
@@ -36,9 +37,9 @@ from repro.obs.metrics import get_registry
 
 __all__ = ["FrontierCache", "FrontierEntry", "request_digest"]
 
-#: Default LRU bound: entries are a few MB each (space arrays + staircase),
-#: so a few dozen keeps the working set of every paper workload x space
-#: shape resident without unbounded growth.
+#: Default LRU bound: entries are a few KB each (staircase steps, rendered
+#: answers, frontier), so a few dozen keeps the working set of every paper
+#: workload x space shape resident without unbounded growth.
 DEFAULT_CAPACITY = 32
 
 

@@ -13,10 +13,12 @@ of that warm in one long-lived process and answers over HTTP/1.1
     configuration digest: the cached
     :class:`~repro.model.batched.DeadlineStaircase` reproduces the
     exhaustive comparator exactly (``tests/model/test_multiquery.py``),
-    and responses carry the exact floats from the cached space arrays.
+    and each of its steps' answers is rendered at build time from the
+    exact floats of the space arrays, which are then dropped.
 ``POST /frontier``
     The energy-deadline Pareto frontier of the same space (budget-masked
-    when a budget is given), via :func:`repro.cluster.pareto.pareto_indices`.
+    when a budget is given), via :func:`repro.cluster.pareto.pareto_indices`
+    over the staircase's steps.
 ``POST /schedule``
     One autoscaled-day replay
     (:func:`repro.experiments.scheduling.replay_day`), summary only.
@@ -24,9 +26,10 @@ of that warm in one long-lived process and answers over HTTP/1.1
     Liveness, the service counters, and the Prometheus rendering of the
     process metrics registry.
 
-Request flow: a ``recommend``/``frontier`` request digests its space
-parameters (:func:`repro.serve.cache.request_digest`), and a warm digest
-is answered inline — an O(log n) staircase lookup on the event loop,
+Request flow: a ``recommend``/``frontier`` request validates its space
+parameters (a bad one is a 400 before any compute) and digests them
+(:func:`repro.serve.cache.request_digest`), and a warm digest is answered
+inline — a staircase lookup and a rendered fragment on the event loop,
 never queued, never shed.  A cold digest first passes admission control
 (:class:`repro.serve.admission.AdmissionController`, threshold derived
 from our own M/D/1 p95 model; HTTP 503 when the compute queue is too
@@ -40,10 +43,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,17 +178,20 @@ class ServeStats:
 
 @dataclass(frozen=True, eq=False)
 class _SpacePayload:
-    """One cached configuration space: arrays + staircase + frontier."""
+    """One cached configuration space: staircase, frontier, rendered answers.
 
-    arrays: Any  # SpaceEvaluationArrays
+    Everything a later request against this digest can ask for is rendered
+    at build time from the space arrays, which are then dropped: an entry
+    holds a few KB, not the full-space arrays.
+    """
+
+    n_configs: int
     staircase: Any  # DeadlineStaircase (budget-masked when a budget applies)
+    #: The answer fragment of every staircase step, keyed by its
+    #: configuration index — every index ``best_index`` can return.
+    answers: Dict[int, Dict[str, object]]
     frontier: Tuple[Dict[str, object], ...]
     build_s: float
-    #: Rendered answer fragments keyed by winning configuration index —
-    #: the staircase has few distinct winners, so materialising
-    #: ``config_at``/``label``/``str`` once per winner takes that work off
-    #: the per-request hot path (the dict mutates; the payload stays frozen).
-    answers: Dict[int, Dict[str, object]] = field(default_factory=dict)
 
 
 def _non_config_keys() -> frozenset:
@@ -220,18 +227,41 @@ def _validated_params(
     return params
 
 
+def _positive_number(key: str, value: object) -> float:
+    """A finite, positive JSON number; bools and strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if 0.0 < number < math.inf:  # NaN fails both comparisons
+            return number
+    raise ReproError(f"{key} must be a positive finite number, got {value!r}")
+
+
+def _positive_count(key: str, value: object) -> int:
+    """A positive integral JSON number: ``2`` or ``2.0``, not ``2.5``."""
+    number = _positive_number(key, value)
+    if not number.is_integer():
+        raise ReproError(f"{key} must be a positive integer, got {value!r}")
+    return int(number)
+
+
 def _normalize_space_params(params: Dict[str, object]) -> Dict[str, object]:
-    """Canonicalise space-parameter types before digesting.
+    """Validate and canonicalise space-parameter types before digesting.
 
     JSON clients may send ``6`` or ``6.0``; the config digest serialises
     values literally, so types must be pinned or equal requests would
-    fragment the cache.
+    fragment the cache.  Values that only coerce to a parameter (``true``,
+    ``"6"``, ``2.5``, ``NaN``) are rejected instead, here in the validate
+    stage, so a bad request costs no admission slot and no sweep.
     """
-    params["workload"] = str(params["workload"])
-    params["max_wimpy"] = int(params["max_wimpy"])
-    params["max_brawny"] = int(params["max_brawny"])
+    if not isinstance(params["workload"], str):
+        raise ReproError(f"workload must be a string, got {params['workload']!r}")
+    params["max_wimpy"] = _positive_count("max_wimpy", params["max_wimpy"])
+    params["max_brawny"] = _positive_count("max_brawny", params["max_brawny"])
     if params["budget_w"] is not None:
-        params["budget_w"] = float(params["budget_w"])
+        params["budget_w"] = _positive_number("budget_w", params["budget_w"])
     return params
 
 
@@ -249,12 +279,13 @@ def _normalize_schedule_params(params: Dict[str, object]) -> Dict[str, object]:
 
 
 def _build_space_payload(params: Mapping[str, object]) -> _SpacePayload:
-    """Evaluate one space and precompute its answer machinery.
+    """Evaluate one space and render every answer it can give.
 
     Runs on the compute lane's worker thread: ONE vectorized
     :func:`evaluate_space_arrays` pass over the whole configuration
-    space, one staircase build, one Pareto pass — everything later
-    requests against this digest will ever need.
+    space, one staircase build (one sort), then work on its few steps
+    only — their answer fragments and their Pareto frontier.  The space
+    arrays are not kept.
     """
     import repro
     from repro.cluster.pareto import pareto_indices
@@ -269,37 +300,32 @@ def _build_space_payload(params: Mapping[str, object]) -> _SpacePayload:
     with span("serve.build_space", workload=workload.name):
         arrays = evaluate_space_arrays(workload, spaces)
         budget_w = params.get("budget_w")
+        mask = None
         if budget_w is not None:
-            budget = repro.PowerBudget(float(budget_w))
-            mask = budget.fits_mask(
+            mask = repro.PowerBudget(float(budget_w)).fits_mask(
                 arrays.nameplate_w,
                 arrays.counts.get("A9", np.zeros(arrays.n_configs, dtype=np.int64)),
             )
-            candidates = np.flatnonzero(mask)
-        else:
-            mask = None
-            candidates = np.arange(arrays.n_configs, dtype=np.int64)
         staircase = deadline_staircase(arrays, mask)
-        frontier: List[Dict[str, object]] = []
-        if candidates.size:
-            keep = candidates[
-                pareto_indices(arrays.tp_s[candidates], arrays.energy_j[candidates])
-            ]
-            for idx in keep:
-                config = arrays.config_at(int(idx))
-                frontier.append(
-                    {
-                        "mix": config.label(),
-                        "operating_point": str(config),
-                        "tp_s": float(arrays.tp_s[idx]),
-                        "energy_j": float(arrays.energy_j[idx]),
-                        "peak_power_w": float(arrays.peak_power_w[idx]),
-                    }
-                )
+        steps = staircase.step_idx
+        answers: Dict[int, Dict[str, object]] = {}
+        for idx in steps.tolist():
+            config = arrays.config_at(idx)
+            answers[idx] = {
+                "mix": config.label(),
+                "operating_point": str(config),
+                "tp_s": float(arrays.tp_s[idx]),
+                "energy_j": float(arrays.energy_j[idx]),
+                "peak_power_w": float(arrays.peak_power_w[idx]),
+            }
+        # Every frontier point is a step, so the steps' frontier is the
+        # frontier of the whole (budget-masked) space.
+        keep = steps[pareto_indices(arrays.tp_s[steps], arrays.energy_j[steps])]
     return _SpacePayload(
-        arrays=arrays,
+        n_configs=arrays.n_configs,
         staircase=staircase,
-        frontier=tuple(frontier),
+        answers=answers,
+        frontier=tuple(answers[idx] for idx in keep.tolist()),
         build_s=perf_counter() - t0,
     )
 
@@ -525,10 +551,8 @@ class ReproService:
             params = _validated_params(
                 body, _SPACE_DEFAULTS, ("workload", "deadline_s")
             )
-            deadline_s = float(params.pop("deadline_s"))
+            deadline_s = _positive_number("deadline_s", params.pop("deadline_s"))
             params = _normalize_space_params(params)
-            if deadline_s <= 0:
-                raise ReproError(f"deadline_s must be positive, got {deadline_s}")
         digest, (entry, was_hit) = await self._space_entry(params, ctx)
         payload: _SpacePayload = entry.payload
         with ctx.stage("lookup"):
@@ -539,26 +563,12 @@ class ReproService:
                 "deadline_s": deadline_s,
                 "digest": digest,
                 "cache_hit": was_hit,
-                "evaluated_configs": payload.arrays.n_configs,
+                "evaluated_configs": payload.n_configs,
                 "strategy": "exhaustive",
+                "feasible": idx >= 0,
             }
-            if idx < 0:
-                doc["feasible"] = False
-                return doc
-            fragment = payload.answers.get(idx)
-            if fragment is None:
-                arrays = payload.arrays
-                config = arrays.config_at(idx)
-                fragment = {
-                    "feasible": True,
-                    "mix": config.label(),
-                    "operating_point": str(config),
-                    "tp_s": float(arrays.tp_s[idx]),
-                    "energy_j": float(arrays.energy_j[idx]),
-                    "peak_power_w": float(arrays.peak_power_w[idx]),
-                }
-                payload.answers[idx] = fragment
-            doc.update(fragment)
+            if idx >= 0:
+                doc.update(payload.answers[idx])
         return doc
 
     async def _handle_frontier(
@@ -576,7 +586,7 @@ class ReproService:
                 "workload": params["workload"],
                 "digest": digest,
                 "cache_hit": was_hit,
-                "evaluated_configs": payload.arrays.n_configs,
+                "evaluated_configs": payload.n_configs,
                 "points": list(payload.frontier),
             }
         return doc
@@ -682,7 +692,13 @@ class ReproService:
                         break
                     key, _, value = line.decode("latin-1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                raw_length = headers.get("content-length") or "0"
+                if not raw_length.isdecimal():  # latin-1: ASCII digits only
+                    await _respond(writer, 400, "application/json",
+                                   _json_bytes({"error": f"malformed Content-Length {raw_length!r}"}),
+                                   close=True)
+                    break
+                length = int(raw_length)
                 body = await reader.readexactly(length) if length else b""
                 path = target.split("?", 1)[0]
                 ctx = self.recorder.start_request(

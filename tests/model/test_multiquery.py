@@ -10,10 +10,16 @@ and all — plus the lookup's edge cases.
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import repro
+from repro.cluster.pareto import TIME_TIE_REL, pareto_indices
 from repro.cluster.search import recommend_exhaustive
 from repro.errors import ModelError
 from repro.model.batched import (
@@ -120,3 +126,126 @@ class TestBatchPath:
         assert stairs.n_feasible == 0
         assert stairs.best_index(1e9) == -1
         assert stairs.best_index(1.0) == -1
+
+
+# ----------------------------------------------------------------------
+# The per-entry loop the staircase replaced, kept as its oracle
+# ----------------------------------------------------------------------
+def _loop_staircase(tp_s, energy_j, mask):
+    """The winner among the first ``p + 1`` feasible configurations in
+    stable time order, for every ``p``: one Python step per entry."""
+    candidates = np.flatnonzero(mask)
+    order = np.argsort(tp_s[candidates], kind="stable")
+    best_idx = np.empty(order.shape[0], dtype=np.int64)
+    best_e = math.inf
+    best = -1
+    for p, idx in enumerate(candidates[order]):
+        if energy_j[idx] < best_e:
+            best_e = energy_j[idx]
+            best = idx
+        best_idx[p] = best
+    return tp_s[candidates][order], best_idx
+
+
+def _loop_best_index(loop, deadline_s):
+    tp_sorted, best_idx = loop
+    pos = int(np.searchsorted(tp_sorted, deadline_s, side="right")) - 1
+    return int(best_idx[pos]) if pos >= 0 else -1
+
+
+def _probe_deadlines(tp_s):
+    """Every time, one ulp below each, midpoints, and beyond both ends."""
+    times = np.unique(tp_s)
+    if times.size == 0:
+        return np.array([1.0])
+    return np.unique(
+        np.concatenate(
+            (
+                times,
+                np.nextafter(times, 0.0),
+                (times[:-1] + times[1:]) / 2.0,
+                [times[0] / 2.0, times[-1] * 2.0],
+            )
+        )
+    )
+
+
+#: Time and energy pools that force exact ties and near-ties inside
+#: TIME_TIE_REL (which the frontier collapses but the staircase must not).
+_TIMES = (1.0, 1.0 * (1 + TIME_TIE_REL / 4), 2.0, 2.0 * (1 + TIME_TIE_REL / 2), 3.0, 5.0)
+_ENERGIES = (1.0, 2.0, 3.0, 4.0)
+_rows = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_TIMES), st.floats(0.5, 8.0)),
+        st.one_of(st.sampled_from(_ENERGIES), st.floats(0.5, 8.0)),
+        st.booleans(),
+    ),
+    max_size=14,
+)
+
+
+def _columns(rows):
+    tp = np.array([r[0] for r in rows], dtype=float)
+    energy = np.array([r[1] for r in rows], dtype=float)
+    mask = np.array([r[2] for r in rows], dtype=bool)
+    return tp, energy, mask
+
+
+def _staircase(tp, energy, mask):
+    """The staircase of bare (time, energy) columns; it reads nothing else."""
+    return deadline_staircase(SimpleNamespace(tp_s=tp, energy_j=energy, n_configs=tp.size), mask)
+
+
+class TestStaircaseOracle:
+    @given(_rows)
+    @example([(2.0, 3.0, True), (2.0, 3.0, True), (2.0, 1.0, True), (1.0, 4.0, True)])
+    @example([(1.0, 1.0, False), (2.0, 2.0, False)])
+    @example([(1.0, 2.0, True), (1.0 * (1 + TIME_TIE_REL / 4), 1.0, True)])
+    def test_best_index_equals_the_loop_at_every_probe(self, rows):
+        tp, energy, mask = _columns(rows)
+        stairs = _staircase(tp, energy, mask)
+        loop = _loop_staircase(tp, energy, mask)
+        assert stairs.n_feasible == int(mask.sum())
+        feasible = np.flatnonzero(mask)
+        for deadline in _probe_deadlines(tp):
+            idx = stairs.best_index(float(deadline))
+            assert idx == _loop_best_index(loop, float(deadline))
+            # ...which is recommend_exhaustive's comparator, brute force.
+            meets = [i for i in feasible if tp[i] <= deadline]
+            assert idx == (min(meets, key=lambda i: (energy[i], tp[i], i)) if meets else -1)
+
+    @given(_rows)
+    @example([(1.0, 2.0, True), (1.0 * (1 + TIME_TIE_REL / 4), 1.0, True), (3.0, 0.5, True)])
+    def test_frontier_of_the_steps_is_the_frontier(self, rows):
+        tp, energy, mask = _columns(rows)
+        stairs = _staircase(tp, energy, mask)
+        steps = stairs.step_idx
+        candidates = np.flatnonzero(mask)
+        np.testing.assert_array_equal(
+            steps[pareto_indices(tp[steps], energy[steps])],
+            candidates[pareto_indices(tp[candidates], energy[candidates])],
+        )
+
+    @pytest.mark.parametrize(
+        "energy",
+        [
+            [math.inf, 3.0, math.nan, 2.0, 2.0],
+            [math.nan, math.inf, math.inf],
+            [4.0, math.nan, 1.0, math.inf],
+        ],
+    )
+    def test_non_finite_energies_match_the_loop(self, energy):
+        energy = np.array(energy)
+        tp = np.arange(1.0, energy.size + 1.0)
+        mask = np.ones(energy.size, dtype=bool)
+        stairs = _staircase(tp, energy, mask)
+        loop = _loop_staircase(tp, energy, mask)
+        for deadline in _probe_deadlines(tp):
+            assert stairs.best_index(float(deadline)) == _loop_best_index(loop, float(deadline))
+
+    def test_staircase_keeps_only_its_steps(self, ep_arrays, ep_staircase):
+        steps = ep_staircase.step_idx
+        assert ep_staircase.n_feasible == ep_arrays.n_configs
+        assert 0 < steps.size < ep_arrays.n_configs
+        assert np.all(np.diff(ep_staircase.step_tp_s) >= 0.0)
+        assert np.all(np.diff(ep_arrays.energy_j[steps]) < 0.0)

@@ -6,13 +6,16 @@ keep-alive client, and tears it down — no sockets survive a test.
 """
 
 import asyncio
+import dataclasses
+import pickle
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cluster.search import recommend_exhaustive
 from repro.serve.loadgen import _HttpClient
-from repro.serve.service import ReproService, ServeConfig
+from repro.serve.service import ReproService, ServeConfig, _build_space_payload
 
 #: A deliberately small space so each cold sweep is milliseconds.
 SPACE = {"max_wimpy": 2, "max_brawny": 1}
@@ -184,6 +187,96 @@ class TestRecommendEndpoint:
         assert status == 503
         assert doc["error"] == "shed"
         assert doc["retry_after_s"] > 0
+
+
+class TestInputValidation:
+    """A bad space parameter is a 400 from the validate stage: nothing
+    reaches the compute lane, so no compute starts and none is cached."""
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            ("/recommend", {"deadline_s": float("nan")}),
+            ("/recommend", {"deadline_s": float("inf")}),
+            ("/recommend", {"deadline_s": "50"}),
+            ("/recommend", {"deadline_s": True}),
+            ("/recommend", {"deadline_s": 10**400}),
+            ("/recommend", {"budget_w": float("nan")}),
+            ("/recommend", {"budget_w": -150.0}),
+            ("/frontier", {"budget_w": float("nan")}),
+            ("/frontier", {"budget_w": float("inf")}),
+            ("/frontier", {"budget_w": "150"}),
+            ("/frontier", {"max_wimpy": 2.5}),
+            ("/frontier", {"max_wimpy": True}),
+            ("/frontier", {"max_wimpy": "2"}),
+            ("/frontier", {"max_brawny": 0}),
+            ("/frontier", {"workload": 5}),
+        ],
+    )
+    def test_bad_space_parameter_is_a_400_without_compute(self, path, bad):
+        async def scenario(service, client):
+            body = {"workload": "EP", "deadline_s": 50.0, **SPACE, **bad}
+            if path == "/frontier":
+                body.pop("deadline_s")
+            status, doc = await client.request("POST", path, body)
+            return status, doc, service.cache.computes, service.batcher.computes
+
+        status, doc, cached, started = run_with_service(scenario)
+        assert status == 400
+        assert next(iter(bad)) in doc["error"]
+        assert cached == started == 0
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_malformed_content_length_is_a_400_and_close(self, length):
+        async def scenario(service, client):
+            reader, writer = await asyncio.open_connection(service.host, service.port)
+            writer.write(
+                f"POST /recommend HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)  # until close
+            writer.close()
+            await writer.wait_closed()
+            # The next connection is still served.
+            fresh = _HttpClient(service.host, service.port)
+            await fresh.connect()
+            try:
+                return raw, await fresh.request("GET", "/healthz")
+            finally:
+                await fresh.aclose()
+
+        raw, (status, health) = run_with_service(scenario)
+        head = raw.decode("latin-1")
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "Connection: close" in head
+        assert status == 200 and health["status"] == "ok"
+
+
+class TestSpacePayload:
+    def test_footnote4_payload_holds_only_step_sized_arrays(self):
+        payload = _build_space_payload(
+            {"workload": "EP", "max_wimpy": 10, "max_brawny": 10, "budget_w": None}
+        )
+        n_steps = payload.staircase.step_idx.size
+        assert payload.n_configs == payload.staircase.n_feasible == 36_380
+
+        def arrays_in(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays_in(getattr(obj, f.name))
+            elif isinstance(obj, dict):
+                for value in obj.values():
+                    yield from arrays_in(value)
+            elif isinstance(obj, (list, tuple)):
+                for value in obj:
+                    yield from arrays_in(value)
+
+        assert max(a.size for a in arrays_in(payload)) == n_steps
+        # Every index best_index can return has its rendered answer.
+        assert set(payload.answers) == set(payload.staircase.step_idx.tolist())
+        assert len(pickle.dumps(payload)) < 16_384  # a few KB, not MB
 
 
 class TestServicePlumbing:
