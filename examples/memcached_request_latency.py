@@ -57,19 +57,11 @@ def main() -> None:
         max_rps = byte_rate / request_bytes
         for load in (0.3, 0.6, 0.9):
             rps = load * max_rps
-            generator = RequestGenerator(
+            arrivals, _, _ = RequestGenerator(
                 rate_rps=rps, rng=np.random.default_rng(7)
-            )
-            requests = generator.generate(60.0)
-
-            def service(r: np.random.Generator, _bytes=request_bytes) -> float:
-                return max(_bytes / byte_rate, floor * _bytes)
-
-            sim = repro.QueueSimulator(
-                _FixedArrivals([req.arrival_s for req in requests]),
-                service,
-                rng=np.random.default_rng(8),
-            ).run(60.0)
+            ).generate_arrays(60.0)
+            service_s = max(request_bytes / byte_rate, floor * request_bytes)
+            sim = repro.QueueSimulator(arrivals, service_s).run(60.0)
             p95_ms = float(np.percentile(sim.responses, 95)) * 1e3
             watts = power.idle_w + load * power.dynamic_w
             rows.append(
@@ -95,17 +87,6 @@ def main() -> None:
         f"The A9 serves {a9_eff[-1] / k10_eff[-1]:.0f}x more requests per watt at "
         f"90% load — the Table 6 PPR gap, observed per request."
     )
-
-
-class _FixedArrivals:
-    """An arrival process replaying pre-generated request times."""
-
-    def __init__(self, times):
-        self._times = np.asarray(times, dtype=float)
-        self.rate = len(times) / (self._times[-1] if len(times) else 1.0)
-
-    def arrival_times(self, horizon_s: float):
-        return self._times[self._times < horizon_s]
 
 
 if __name__ == "__main__":

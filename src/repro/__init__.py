@@ -139,7 +139,6 @@ from repro.queueing import (
     MG1Queue,
     MM1Queue,
     MonteCarloQueue,
-    PoissonArrivals,
     QueueSimulator,
     ReplicatedResult,
 )
@@ -235,7 +234,6 @@ __all__ = [
     "QueueSimulator",
     "MonteCarloQueue",
     "ReplicatedResult",
-    "PoissonArrivals",
     # metrics and analysis
     "PowerCurve",
     "LinearPowerCurve",

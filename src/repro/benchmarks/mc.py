@@ -5,16 +5,14 @@ producing its waiting times — for two scenarios at ``n_jobs`` jobs x
 ``n_reps`` replications:
 
 * **md1** — deterministic service (the paper's M/D/1 queue).  The scalar
-  arm is :class:`repro.queueing.des.QueueSimulator` with
-  ``engine="scalar"``: NumPy arrival sampling plus the loop-carried
-  recursion.
+  arm is NumPy arrival sampling plus the loop-carried recursion
+  :func:`~repro.queueing.mc.scalar_lindley_waits`.
 * **service_model** — exponential service (M/M/1).  The scalar arm is the
-  DES's original general-service contract: one Python
-  :data:`~repro.queueing.des.ServiceModel` call *per job*, then the scalar
-  loop.  The vectorized arm replaces both with batched draws and the
-  Lindley kernel — this is the scenario the >= 100x engine contract is
-  pinned on, because per-job Python sampling is exactly what capped the
-  replication counts before.
+  pre-vectorization general-service simulation: one Python draw *per
+  job*, then the scalar loop.  The vectorized arm replaces both with
+  batched draws and the Lindley kernel — this is the scenario the
+  >= 100x engine contract is pinned on, because per-job Python sampling
+  is exactly what capped the replication counts before.
 
 The scalar arms are too slow to run all ``n_reps`` replications
 (~10 s for the service-model arm alone), so each is timed over
@@ -56,7 +54,6 @@ from repro.errors import ReproError
 from repro.obs import get_registry, instrumented
 from repro.obs.timer import bench_envelope, measure, timed, write_bench_json
 from repro.parallel.pool import resolve_workers
-from repro.queueing.des import QueueSimulator
 from repro.queueing.mc import (
     MonteCarloQueue,
     exponential_service,
@@ -64,7 +61,7 @@ from repro.queueing.mc import (
     scalar_lindley_waits,
     waits_agreement,
 )
-from repro.queueing.arrivals import PoissonArrivals
+from repro.queueing.processes import PoissonProcess
 from repro.util.rng import DEFAULT_SEED
 
 __all__ = ["run_benchmark", "main"]
@@ -93,29 +90,26 @@ def _scalar_des_seconds(
     *,
     service_model: bool,
 ) -> float:
-    """Time ``scalar_reps`` replications of the scalar DES engine.
+    """Time ``scalar_reps`` replications of the scalar simulation.
 
-    Each replication is a fresh :class:`QueueSimulator` fed from the same
-    spawned generator stream the vectorized engine uses, so both arms solve
-    statistically identical problems.
+    Each replication draws its inputs from the same spawned generator
+    stream the vectorized engine uses, so both arms solve statistically
+    identical problems.
     """
     rngs = queue.spawn_generators(scalar_reps)
+    process = PoissonProcess(queue.arrival_rate)
     with timed() as elapsed:
         for rng in rngs:
+            arrivals = process.sample_arrivals(rng, n_jobs)
             if service_model:
-                sim = QueueSimulator(
-                    PoissonArrivals(queue.arrival_rate, rng),
-                    lambda r: float(r.exponential(_SERVICE_S)),
-                    rng,
-                    engine="scalar",
+                services: object = np.fromiter(
+                    (float(rng.exponential(_SERVICE_S)) for _ in range(n_jobs)),
+                    dtype=float,
+                    count=n_jobs,
                 )
             else:
-                sim = QueueSimulator(
-                    PoissonArrivals(queue.arrival_rate, rng),
-                    _SERVICE_S,
-                    engine="scalar",
-                )
-            sim.run_jobs(n_jobs)
+                services = _SERVICE_S
+            scalar_lindley_waits(arrivals, services)
     return elapsed()
 
 

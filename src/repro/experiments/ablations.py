@@ -39,6 +39,7 @@ from repro.model.time_model import execution_time
 from repro.queueing.des import QueueSimulator
 from repro.queueing.md1 import MD1Queue
 from repro.queueing.mg1 import MG1Queue, MM1Queue
+from repro.queueing.processes import PoissonProcess
 from repro.workloads.suite import paper_workloads
 
 __all__ = [
@@ -136,17 +137,13 @@ def service_variability_ablation(
             p95 = MM1Queue(lam, tp).response_percentile(95)
             source = "M/M/1 analytic"
         else:
-            from repro.queueing.arrivals import PoissonArrivals
-
             shape = 1.0 / scv
             scale = tp / shape
-
-            def service(r: np.random.Generator) -> float:
-                return float(r.gamma(shape, scale))
-
             sim = QueueSimulator(
-                PoissonArrivals(lam, np.random.default_rng(seed)),
-                service,
+                PoissonProcess(lam).sample_arrivals(
+                    np.random.default_rng(seed), des_jobs
+                ),
+                lambda rng, n: rng.gamma(shape, scale, n),
                 rng=np.random.default_rng(seed + 1),
             )
             p95 = float(np.percentile(sim.run_jobs(des_jobs).responses, 95))

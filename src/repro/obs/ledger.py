@@ -116,6 +116,10 @@ class RunRecord:
     def from_json(cls, line: str) -> "RunRecord":
         """Parse one JSONL line back into a record."""
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise ReproError(
+                f"run record must be a JSON object, got {type(doc).__name__}"
+            )
         if doc.get("schema") != RUN_SCHEMA:
             raise ReproError(
                 f"unsupported run-record schema {doc.get('schema')!r}"

@@ -704,13 +704,27 @@ def list_flight_dumps(directory: Optional[Path] = None) -> List[Path]:
 
 
 def load_flight_dump(path: Path) -> Dict[str, object]:
-    """Parse and schema-check one flight dump."""
+    """Parse and schema-check one flight dump.
+
+    Raises ``ValueError`` for anything the readers could not render: a
+    non-object document, a foreign schema, a ``requests`` that is not a
+    list of objects, or a ``slowest`` that is neither an object nor null.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a JSON object")
     if doc.get("schema") != FLIGHT_SCHEMA:
         raise ValueError(
             f"{path} is not a {FLIGHT_SCHEMA} document "
             f"(schema={doc.get('schema')!r})"
         )
+    requests = doc.get("requests")
+    if not isinstance(requests, list) or not all(
+        isinstance(r, dict) for r in requests
+    ):
+        raise ValueError(f"{path}: 'requests' must be a list of objects")
+    if not isinstance(doc.get("slowest"), (dict, type(None))):
+        raise ValueError(f"{path}: 'slowest' must be an object or null")
     return doc
 
 

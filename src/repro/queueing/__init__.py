@@ -3,13 +3,6 @@ companions (M/M/1, M/G/1), a discrete-event FIFO simulator, a vectorized
 Monte-Carlo replication engine, and pluggable arrival/service processes
 (:mod:`repro.queueing.processes`) behind one seeded-stream protocol."""
 
-from repro.queueing.arrivals import (
-    ArrivalProcess,
-    BatchArrivals,
-    DeterministicArrivals,
-    PoissonArrivals,
-    ProcessArrivals,
-)
 from repro.queueing.des import QueueSimulator, SimulationResult
 from repro.queueing.forkjoin import ForkJoinResult, simulate_fork_join
 from repro.queueing.mc import (
@@ -50,11 +43,6 @@ __all__ = [
     "SimulationResult",
     "ForkJoinResult",
     "simulate_fork_join",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "BatchArrivals",
-    "ProcessArrivals",
     "MonteCarloQueue",
     "ReplicatedResult",
     "ConfidenceInterval",

@@ -13,47 +13,47 @@ The single-server FIFO recursion
     completion_n = start_n + service_n
 
 is served by the vectorized Lindley kernel from :mod:`repro.queueing.mc`
-(``W = running_max(B) - B`` with ``B_n = A_n - CS_{n-1}``); the original
-loop-carried recursion is kept as the ``engine="scalar"`` oracle the fast
-path is property-tested against.  Multi-server pools still use an
-earliest-free-server heap.
+(``W = running_max(B) - B`` with ``B_n = A_n - CS_{n-1}``); the tests
+compare it against the loop-carried oracle
+:func:`~repro.queueing.mc.scalar_lindley_waits`.  Multi-server pools use
+an earliest-free-server heap.
 
-RNG-stream contract
--------------------
-``run`` and ``run_jobs`` consume randomness in a fixed order: the complete
-arrival sequence is drawn first, then — only once arrivals are final —
-exactly one service draw per job, in arrival order.  ``run_jobs(n)``
-consumes an amount of randomness that depends only on ``n`` for arrival
-processes implementing :meth:`~repro.queueing.arrivals.ArrivalProcess.first_n`
-(all built-in processes do), so a seeded simulation is reproducible
-regardless of any horizon hint.  This matters for *stateful* service
-models: the pre-fix implementation re-ran whole horizons until enough jobs
-arrived, re-sampling services for every attempt, so the delivered service
-times depended on how many retries the horizon guess caused.
+Inputs and the RNG-stream contract
+----------------------------------
+The simulator takes its inputs the way
+:class:`~repro.queueing.mc.MonteCarloQueue` does, through the same
+helpers: arrivals as an :class:`~repro.queueing.processes.ArrivalSpec`
+or as an array of arrival times the caller already drew, and service as
+a fixed time or a batch sampler ``(rng, n) -> array``.  A spec is drawn
+from ``rng``: the complete arrival sequence first, then — only once
+arrivals are final — one batch of service times, in arrival order.
+``run_jobs(n)`` draws exactly ``n`` arrivals in one batch, so its
+randomness is a pure function of the seed and ``n``, and a single-server
+run on generator ``r`` of ``MonteCarloQueue.spawn_generators`` reproduces
+replication ``r`` of :meth:`~repro.queueing.mc.MonteCarloQueue.simulate_waits`
+bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import QueueingError
-from repro.obs.logs import get_logger
-from repro.obs.metrics import get_registry
-from repro.queueing.arrivals import ArrivalProcess, PoissonArrivals, ProcessArrivals
-from repro.queueing.mc import lindley_waits, scalar_lindley_waits
-from repro.queueing.processes import ArrivalSpec, ServiceSpec
+from repro.queueing.mc import (
+    BatchServiceSampler,
+    check_arrivals,
+    check_services,
+    lindley_waits,
+    service_input,
+)
+from repro.queueing.processes import ArrivalSpec, PoissonProcess
 from repro.util.stats import SummaryStats, summarize
 
-logger = get_logger(__name__)
-
-__all__ = ["ServiceModel", "QueueSimulator", "SimulationResult"]
-
-#: A service-time sampler: given an RNG, return one service time (seconds).
-ServiceModel = Callable[[np.random.Generator], float]
+__all__ = ["QueueSimulator", "SimulationResult"]
 
 
 @dataclass(frozen=True)
@@ -144,67 +144,43 @@ class QueueSimulator:
     Parameters
     ----------
     arrivals:
-        The arrival process (usually :class:`PoissonArrivals`).  A bare
-        :class:`~repro.queueing.processes.ArrivalSpec` is also accepted
-        and wrapped in :class:`~repro.queueing.arrivals.ProcessArrivals`
-        over ``rng``.
+        An :class:`~repro.queueing.processes.ArrivalSpec`, drawn from
+        ``rng`` on every run, or a 1-D array of arrival times (finite,
+        non-negative, non-decreasing) that every run replays.
     service:
         A fixed service time in seconds (deterministic — the paper's
-        M/D/1 case), a :data:`ServiceModel` callable for per-job draws,
-        or a :class:`~repro.queueing.processes.ServiceSpec` (batched;
-        deterministic specs take the fixed path).
+        M/D/1 case) or a :data:`~repro.queueing.mc.BatchServiceSampler`
+        such as a :class:`~repro.queueing.processes.ServiceSpec`; a
+        sampler with a non-None ``fixed_s`` takes the fixed path.
     rng:
-        Generator used for random service models and for arrival specs;
-        may be None when both are deterministic.
+        Generator for an arrival spec and for a service sampler; may be
+        None when both inputs are deterministic.
     n_servers:
         Number of parallel servers sharing the FIFO queue (1 reproduces the
         paper's whole-cluster-as-one-server dispatcher; larger values model
         a cluster partitioned into independent job slots).
-    engine:
-        ``"vectorized"`` (default) computes single-server waits with the
-        Lindley kernel from :mod:`repro.queueing.mc`; ``"scalar"`` forces
-        the loop-carried recursion kept as the cross-validation oracle.
-        Both consume identical randomness.
     """
 
     def __init__(
         self,
-        arrivals: ArrivalProcess | ArrivalSpec,
-        service: float | ServiceModel | ServiceSpec,
+        arrivals: Union[ArrivalSpec, np.ndarray],
+        service: Union[float, BatchServiceSampler],
         rng: Optional[np.random.Generator] = None,
         *,
         n_servers: int = 1,
-        engine: str = "vectorized",
     ) -> None:
         if n_servers <= 0:
             raise QueueingError(f"n_servers must be positive, got {n_servers}")
-        if engine not in ("vectorized", "scalar"):
-            raise QueueingError(f"unknown engine {engine!r}")
         self._n_servers = int(n_servers)
-        self._engine = engine
         if isinstance(arrivals, ArrivalSpec):
             if rng is None:
                 raise QueueingError("an arrival process spec needs an RNG")
-            arrivals = ProcessArrivals(arrivals, rng)
-        self._arrivals = arrivals
-        self._service_model: Optional[ServiceModel] = None
-        self._service_batch: Optional[ServiceSpec] = None
-        self._service_fixed: Optional[float] = None
-        if isinstance(service, ServiceSpec):
-            if service.fixed_s is not None:
-                self._service_fixed = float(service.fixed_s)
-            else:
-                if rng is None:
-                    raise QueueingError("a random service model needs an RNG")
-                self._service_batch = service
-        elif callable(service):
-            if rng is None:
-                raise QueueingError("a random service model needs an RNG")
-            self._service_model = service
+            self._arrivals: Union[ArrivalSpec, np.ndarray] = arrivals
         else:
-            if service <= 0:
-                raise QueueingError(f"service time must be positive, got {service}")
-            self._service_fixed = float(service)
+            self._arrivals = check_arrivals(arrivals)
+        self._service_fixed, self._sampler = service_input(service)
+        if self._sampler is not None and rng is None:
+            raise QueueingError("a random service model needs an RNG")
         self._rng = rng
 
     @classmethod
@@ -216,37 +192,16 @@ class QueueSimulator:
         **kwargs: object,
     ) -> "QueueSimulator":
         """Convenience constructor mirroring :class:`~repro.queueing.md1.MD1Queue`."""
-        return cls(PoissonArrivals(arrival_rate, rng), service_time_s, **kwargs)  # type: ignore[arg-type]
+        return cls(PoissonProcess(arrival_rate), service_time_s, rng, **kwargs)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _sample_services(self, n: int) -> np.ndarray:
-        """One service draw per job, in arrival order (the RNG contract).
-
-        Batched specs draw all ``n`` times in one call — the same
-        consumption the MC engine uses, keeping the two paths on one
-        stream contract."""
+        """One batch of ``n`` service times, in arrival order."""
         if self._service_fixed is not None:
             return np.full(n, self._service_fixed)
-        assert self._rng is not None
-        if self._service_batch is not None:
-            services = np.asarray(self._service_batch(self._rng, n), dtype=float)
-            if services.shape != (n,):
-                raise QueueingError(
-                    f"service spec returned shape {services.shape}, "
-                    f"expected ({n},)"
-                )
-        else:
-            assert self._service_model is not None
-            services = np.fromiter(
-                (self._service_model(self._rng) for _ in range(n)),
-                dtype=float,
-                count=n,
-            )
-        if np.any(services <= 0):
-            raise QueueingError("service model produced a non-positive time")
-        return services
+        return check_services(self._sampler(self._rng, n), n)
 
     def _serve(self, arrivals: np.ndarray, horizon_s: float) -> SimulationResult:
         """Serve a finalised arrival sequence to completion."""
@@ -262,13 +217,10 @@ class QueueSimulator:
             )
         services = self._sample_services(n)
         if self._n_servers == 1:
-            if self._engine == "vectorized":
-                if self._service_fixed is not None:
-                    waits = lindley_waits(arrivals, self._service_fixed)
-                else:
-                    waits = lindley_waits(arrivals, services)
+            if self._service_fixed is not None:
+                waits = lindley_waits(arrivals, self._service_fixed)
             else:
-                waits = scalar_lindley_waits(arrivals, services)
+                waits = lindley_waits(arrivals, services)
             server_completions = np.array(
                 [arrivals[-1] + waits[-1] + services[-1]]
             )
@@ -303,56 +255,33 @@ class QueueSimulator:
     # ------------------------------------------------------------------
     def run(self, horizon_s: float) -> SimulationResult:
         """Simulate all arrivals in [0, horizon) and serve them to completion."""
-        return self._serve(self._arrivals.arrival_times(horizon_s), horizon_s)
+        if horizon_s <= 0:
+            raise QueueingError(f"horizon must be positive, got {horizon_s}")
+        if isinstance(self._arrivals, ArrivalSpec):
+            arrivals = self._arrivals.arrivals_until(self._rng, horizon_s)
+        else:
+            arrivals = self._arrivals[self._arrivals < horizon_s]
+        return self._serve(arrivals, horizon_s)
 
-    def run_jobs(self, n_jobs: int, horizon_hint_s: Optional[float] = None) -> SimulationResult:
+    def run_jobs(self, n_jobs: int) -> SimulationResult:
         """Simulate exactly the first ``n_jobs`` arrivals.
 
-        Percentile estimates need a controlled sample size.  For arrival
-        processes with :meth:`~repro.queueing.arrivals.ArrivalProcess.first_n`
-        (all built-ins) the arrivals are generated exactly, services are
-        sampled once — after the arrivals are final — and
-        ``horizon_hint_s`` is ignored: the result is a pure function of the
-        seeds and ``n_jobs``.  Only for exotic processes without ``first_n``
-        does the horizon-doubling fallback run, and even then services are
-        sampled exactly once, for the truncated arrivals.
+        Percentile estimates need a controlled sample size.  A spec draws
+        exactly ``n_jobs`` arrivals in one batch, then one batch of
+        services, so the result is a pure function of the seed and
+        ``n_jobs``; an arrival array must hold at least ``n_jobs`` times.
         """
         if n_jobs <= 0:
             raise QueueingError(f"n_jobs must be positive, got {n_jobs}")
-        arrivals = self._arrivals.first_n(n_jobs)
-        if arrivals is None:
-            arrivals = self._grow_arrivals(n_jobs, horizon_hint_s)
-        if len(arrivals) != n_jobs:
+        if isinstance(self._arrivals, ArrivalSpec):
+            arrivals = check_arrivals(
+                self._arrivals.sample_arrivals(self._rng, n_jobs), n_jobs
+            )
+        elif len(self._arrivals) < n_jobs:
             raise QueueingError(
-                f"arrival process returned {len(arrivals)} jobs, "
-                f"expected {n_jobs}"
+                f"arrival array holds {len(self._arrivals)} jobs, "
+                f"fewer than {n_jobs}"
             )
+        else:
+            arrivals = self._arrivals[:n_jobs]
         return self._serve(arrivals, float(arrivals[-1]) + 1e-12)
-
-    def _grow_arrivals(
-        self, n_jobs: int, horizon_hint_s: Optional[float]
-    ) -> np.ndarray:
-        """Fallback for processes without ``first_n``: grow the horizon until
-        enough jobs arrive, then truncate.  Only arrival randomness is
-        consumed here — no services are drawn for the discarded tail."""
-        rate = getattr(self._arrivals, "rate", None)
-        horizon = horizon_hint_s or (n_jobs / rate * 1.2 if rate else float(n_jobs))
-        registry = get_registry()
-        for attempt in range(64):
-            arrivals = self._arrivals.arrival_times(horizon)
-            if len(arrivals) >= n_jobs:
-                return arrivals[:n_jobs]
-            if registry.enabled:
-                registry.counter(
-                    "repro_des_horizon_growths_total",
-                    help="Horizon guesses rejected for yielding too few jobs",
-                ).inc()
-            logger.debug(
-                "horizon %.3g s yielded %d/%d jobs; doubling (attempt %d)",
-                horizon, len(arrivals), n_jobs, attempt + 1,
-            )
-            horizon *= 2.0
-        raise QueueingError(
-            f"arrival process produced fewer than {n_jobs} jobs even over a "
-            f"{horizon:.3g} s horizon"
-        )

@@ -60,6 +60,9 @@ from repro.util.rng import DEFAULT_SEED
 
 __all__ = [
     "BatchServiceSampler",
+    "check_arrivals",
+    "check_services",
+    "service_input",
     "lindley_waits",
     "scalar_lindley_waits",
     "waits_agreement",
@@ -74,8 +77,7 @@ __all__ = [
 ]
 
 #: A batched service sampler: given an RNG and a count, return that many
-#: service times (seconds) in one vectorized draw.  The batched counterpart
-#: of :data:`repro.queueing.des.ServiceModel`.
+#: service times (seconds) in one vectorized draw.
 BatchServiceSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 #: Percentiles every replication records (the paper reports p95; p50/p99
@@ -164,6 +166,59 @@ def waits_agreement(
     )
     span = float(a.flat[-1] + s.flat[-1] + last_service)
     return float(np.max(np.abs(v - s)) / max(1.0, span))
+
+
+# ----------------------------------------------------------------------
+# Inputs shared by both queue engines
+# ----------------------------------------------------------------------
+def service_input(
+    service: Union[float, BatchServiceSampler],
+) -> Tuple[Optional[float], Optional[BatchServiceSampler]]:
+    """Split a service argument into ``(fixed_s, sampler)``, one of them None.
+
+    A float is a deterministic service time; a callable is a
+    :data:`BatchServiceSampler`, except that one exposing a non-None
+    ``fixed_s`` (:class:`repro.queueing.processes.DeterministicService`)
+    takes the fixed path and consumes no service draws.
+    """
+    if callable(service):
+        fixed = getattr(service, "fixed_s", None)
+        if fixed is None:
+            return None, service
+        return float(fixed), None
+    if not 0.0 < service < np.inf:  # NaN fails both comparisons
+        raise QueueingError(
+            f"service time must be positive and finite, got {service}"
+        )
+    return float(service), None
+
+
+def check_services(services: np.ndarray, n: int) -> np.ndarray:
+    """One sampler batch as a float array of ``n`` positive service times."""
+    services = np.asarray(services, dtype=float)
+    if services.shape != (n,):
+        raise QueueingError(
+            f"service sampler returned shape {services.shape}, expected ({n},)"
+        )
+    if np.any(services <= 0):
+        raise QueueingError("service sampler produced a non-positive time")
+    return services
+
+
+def check_arrivals(arrivals: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+    """Arrival times as a 1-D float array: finite, non-negative and
+    non-decreasing, and of length ``n`` when ``n`` is given."""
+    a = np.asarray(arrivals, dtype=float)
+    if a.ndim != 1 or (n is not None and a.shape != (n,)):
+        expected = "a 1-D array" if n is None else f"shape ({n},)"
+        raise QueueingError(f"arrival times have shape {a.shape}, expected {expected}")
+    if a.size and (
+        not np.all(np.isfinite(a)) or a[0] < 0 or np.any(a[1:] < a[:-1])
+    ):
+        raise QueueingError(
+            "arrival times must be finite, non-negative and non-decreasing"
+        )
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -479,19 +534,7 @@ class MonteCarloQueue:
             # tests/queueing/test_processes.py).
             self._arrivals = None if poisson is not None else arrival_rate
             self._rate = float(rate)
-        if callable(service):
-            fixed = getattr(service, "fixed_s", None)
-            if fixed is not None:
-                self._sampler: Optional[BatchServiceSampler] = None
-                self._service_fixed: Optional[float] = float(fixed)
-            else:
-                self._sampler = service
-                self._service_fixed = None
-        else:
-            if service <= 0:
-                raise QueueingError(f"service time must be positive, got {service}")
-            self._sampler = None
-            self._service_fixed = float(service)
+        self._service_fixed, self._sampler = service_input(service)
         self._seed = int(seed)
         self._warmup_fraction = float(warmup_fraction)
 
@@ -546,47 +589,6 @@ class MonteCarloQueue:
         return [np.random.default_rng(child) for child in root.spawn(n_reps)]
 
     # -- simulation ------------------------------------------------------
-    def _sample_arrival_batch(
-        self, rng: np.random.Generator, n_jobs: int
-    ) -> np.ndarray:
-        """One replication's arrival times from the process object."""
-        arrivals = np.asarray(
-            self._arrivals.sample_arrivals(rng, n_jobs), dtype=float  # type: ignore[union-attr]
-        )
-        if arrivals.shape != (n_jobs,):
-            raise QueueingError(
-                f"arrival process returned shape {arrivals.shape}, "
-                f"expected ({n_jobs},)"
-            )
-        if n_jobs and (arrivals[0] < 0 or np.any(arrivals[1:] < arrivals[:-1])):
-            raise QueueingError(
-                "arrival process produced a negative or decreasing time"
-            )
-        return arrivals
-
-    def _replication_inputs(
-        self, rng: np.random.Generator, n_jobs: int,
-        gaps: np.ndarray,
-    ) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
-        """Sample one replication's arrivals (into ``gaps``) and services."""
-        if self._arrivals is None:
-            rng.standard_exponential(n_jobs, out=gaps)
-            np.multiply(gaps, 1.0 / self._rate, out=gaps)
-            arrivals = np.cumsum(gaps)
-        else:
-            arrivals = self._sample_arrival_batch(rng, n_jobs)
-        if self._service_fixed is not None:
-            return arrivals, self._service_fixed
-        services = np.asarray(self._sampler(rng, n_jobs), dtype=float)  # type: ignore[misc]
-        if services.shape != (n_jobs,):
-            raise QueueingError(
-                f"service sampler returned shape {services.shape}, "
-                f"expected ({n_jobs},)"
-            )
-        if np.any(services <= 0):
-            raise QueueingError("service sampler produced a non-positive time")
-        return arrivals, services
-
     def _iter_waits(self, n_jobs: int, n_reps: int, start: int = 0,
                     stop: Optional[int] = None):
         """Yield ``(arrivals, services, waits)`` for replications
@@ -638,21 +640,14 @@ class MonteCarloQueue:
                 # Copy into the shared buffer so the Lindley passes below
                 # stay in-place regardless of the process.  Arrivals are
                 # fully drawn before any service draw (the contract).
-                arrivals[:] = self._sample_arrival_batch(rng, n_jobs)
+                arrivals[:] = check_arrivals(
+                    self._arrivals.sample_arrivals(rng, n_jobs), n_jobs  # type: ignore[union-attr]
+                )
             if self._service_fixed is not None:
                 services: Union[float, np.ndarray] = self._service_fixed
                 np.subtract(arrivals, drift, out=b)
             else:
-                services = np.asarray(self._sampler(rng, n_jobs), dtype=float)  # type: ignore[misc]
-                if services.shape != (n_jobs,):
-                    raise QueueingError(
-                        f"service sampler returned shape {services.shape}, "
-                        f"expected ({n_jobs},)"
-                    )
-                if np.any(services <= 0):
-                    raise QueueingError(
-                        "service sampler produced a non-positive time"
-                    )
+                services = check_services(self._sampler(rng, n_jobs), n_jobs)  # type: ignore[misc]
                 np.cumsum(services, out=cs_prev)
                 np.subtract(cs_prev, services, out=cs_prev)
                 np.subtract(arrivals, cs_prev, out=b)
@@ -665,31 +660,21 @@ class MonteCarloQueue:
                     reuse_counter.inc()
             yield arrivals, services, waits
 
-    def simulate_waits(
-        self, n_jobs: int, n_reps: int, *, engine: str = "vectorized"
-    ) -> np.ndarray:
+    def simulate_waits(self, n_jobs: int, n_reps: int) -> np.ndarray:
         """All replications' waiting times as a ``(n_reps, n_jobs)`` array.
 
-        ``engine`` selects the vectorized Lindley kernel (default) or the
-        ``"scalar"`` loop oracle; both consume identical randomness, so the
-        outputs differ only by cumulative-sum round-off.
+        Row ``r`` is what :class:`repro.queueing.des.QueueSimulator` gives
+        for the same arrivals and service on generator ``r`` of
+        :meth:`spawn_generators` (pinned by ``tests/queueing/test_des.py``).
         """
         if n_jobs <= 0:
             raise QueueingError(f"n_jobs must be positive, got {n_jobs}")
         if n_reps <= 0:
             raise QueueingError(f"n_reps must be positive, got {n_reps}")
-        if engine not in ("vectorized", "scalar"):
-            raise QueueingError(f"unknown engine {engine!r}")
         out = np.empty((n_reps, n_jobs))
-        with span("mc.simulate_waits", engine=engine, n_jobs=n_jobs, n_reps=n_reps):
-            if engine == "vectorized":
-                for r, (_, _, waits) in enumerate(self._iter_waits(n_jobs, n_reps)):
-                    out[r] = waits
-            else:
-                gaps = np.empty(n_jobs)
-                for r, rng in enumerate(self.spawn_generators(n_reps)):
-                    arrivals, services = self._replication_inputs(rng, n_jobs, gaps)
-                    out[r] = scalar_lindley_waits(arrivals, services)
+        with span("mc.simulate_waits", n_jobs=n_jobs, n_reps=n_reps):
+            for r, (_, _, waits) in enumerate(self._iter_waits(n_jobs, n_reps)):
+                out[r] = waits
         return out
 
     def _warmup_jobs(self, n_jobs: int) -> int:

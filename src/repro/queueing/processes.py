@@ -17,7 +17,9 @@ A process never owns randomness.  It is handed a
 :class:`numpy.random.Generator` and draws a batch:
 
 * :class:`ArrivalSpec.sample_arrivals(rng, n)` returns the first ``n``
-  arrival times (seconds, non-decreasing, starting after 0);
+  arrival times (seconds, non-decreasing, starting after 0), and
+  :meth:`ArrivalSpec.arrivals_until(rng, horizon_s)` those inside a
+  horizon;
 * :class:`ServiceSpec.__call__(rng, size)` returns ``size`` service
   times — the :data:`repro.queueing.mc.BatchServiceSampler` shape.
 
@@ -120,6 +122,30 @@ class ArrivalSpec(abc.ABC):
     @abc.abstractmethod
     def sample_arrivals(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """The first ``n`` arrival times (seconds, non-decreasing)."""
+
+    def arrivals_until(self, rng: np.random.Generator, horizon_s: float) -> np.ndarray:
+        """All arrival times in ``[0, horizon_s)``.
+
+        Draws one batch sized to cover the horizon (expected count plus
+        six standard deviations) and keeps its head.  In the rare tail
+        case it draws a fresh batch of twice the size rather than
+        appending one: a modulated process's batch is not the
+        concatenation of shorter batches, so only a redraw is a valid
+        top-up.
+        """
+        if horizon_s <= 0:
+            raise QueueingError(f"horizon must be positive, got {horizon_s}")
+        expected = self.rate * horizon_s
+        n = int(expected + 6.0 * np.sqrt(expected) + 16)
+        for _ in range(64):
+            times = self.sample_arrivals(rng, n)
+            if float(times[-1]) >= horizon_s:
+                return times[times < horizon_s]
+            n *= 2
+        raise QueueingError(
+            f"arrival process {self.label} failed to cover a "
+            f"{horizon_s:.3g} s horizon"
+        )
 
     def poisson_rate(self) -> Optional[float]:
         """The rate if this process is exactly homogeneous Poisson.

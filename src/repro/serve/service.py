@@ -45,7 +45,7 @@ import asyncio
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from time import perf_counter
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -99,6 +99,12 @@ _SPACE_DEFAULTS: Dict[str, object] = {
     "max_brawny": 3,
     "budget_w": None,
 }
+
+#: Largest configuration space a /recommend or /frontier request may ask
+#: for.  It admits the paper's largest clusters (128 A9 + 16 K10 is
+#: 740,128 configurations) while one request cannot make the single
+#: compute lane evaluate tens of millions.
+MAX_SPACE_CONFIGS = 1_000_000
 
 _SCHEDULE_DEFAULTS: Dict[str, object] = {
     "workload": "EP",
@@ -247,6 +253,15 @@ def _positive_count(key: str, value: object) -> int:
     return int(number)
 
 
+@lru_cache(maxsize=None)
+def _choices_per_node(node: str) -> int:
+    """(cores, frequency) choices per node of one type, from its spec."""
+    import repro
+
+    spec = repro.get_node_spec(node)
+    return spec.cores * len(spec.frequencies_hz)
+
+
 def _normalize_space_params(params: Dict[str, object]) -> Dict[str, object]:
     """Validate and canonicalise space-parameter types before digesting.
 
@@ -254,27 +269,55 @@ def _normalize_space_params(params: Dict[str, object]) -> Dict[str, object]:
     values literally, so types must be pinned or equal requests would
     fragment the cache.  Values that only coerce to a parameter (``true``,
     ``"6"``, ``2.5``, ``NaN``) are rejected instead, here in the validate
-    stage, so a bad request costs no admission slot and no sweep.
+    stage, so a bad request costs no admission slot and no sweep.  So is a
+    space larger than :data:`MAX_SPACE_CONFIGS`, counted as
+    :func:`repro.cluster.configuration.count_configurations` counts.
     """
     if not isinstance(params["workload"], str):
         raise ReproError(f"workload must be a string, got {params['workload']!r}")
-    params["max_wimpy"] = _positive_count("max_wimpy", params["max_wimpy"])
-    params["max_brawny"] = _positive_count("max_brawny", params["max_brawny"])
+    wimpy = params["max_wimpy"] = _positive_count("max_wimpy", params["max_wimpy"])
+    brawny = params["max_brawny"] = _positive_count("max_brawny", params["max_brawny"])
+    n_configs = (_choices_per_node("A9") * wimpy + 1) * (
+        _choices_per_node("K10") * brawny + 1
+    ) - 1
+    if n_configs > MAX_SPACE_CONFIGS:
+        raise ReproError(
+            f"max_wimpy={wimpy}, max_brawny={brawny} spans {n_configs} "
+            f"configurations; the limit is {MAX_SPACE_CONFIGS}"
+        )
     if params["budget_w"] is not None:
         params["budget_w"] = _positive_number("budget_w", params["budget_w"])
     return params
 
 
+def _check_name(key: str, value: object, names: Sequence[str]) -> None:
+    if not isinstance(value, str) or value not in names:
+        raise ReproError(f"{key} must be one of {list(names)}, got {value!r}")
+
+
 def _normalize_schedule_params(params: Dict[str, object]) -> Dict[str, object]:
-    """Canonicalise schedule-replay parameter types before digesting."""
-    params["workload"] = str(params["workload"])
-    params["policy"] = str(params["policy"])
-    params["trace"] = str(params["trace"])
-    if params["seed"] is not None:
-        params["seed"] = int(params["seed"])
-    params["intervals"] = int(params["intervals"])
-    params["interval_s"] = float(params["interval_s"])
-    params["demand"] = float(params["demand"])
+    """Validate and canonicalise schedule-replay parameters before digesting.
+
+    As for the space parameters, a value that only coerces (``"2"``,
+    ``true``) or that the replay would reject is a 400 here, in the
+    validate stage, before admission and compute.
+    """
+    from repro.experiments.scheduling import STUDY_WORKLOADS
+    from repro.scheduler.policies import POLICY_NAMES
+
+    _check_name("workload", params["workload"], STUDY_WORKLOADS)
+    _check_name("policy", params["policy"], POLICY_NAMES)
+    _check_name("trace", params["trace"], ("diurnal", "constant"))
+    seed = params["seed"]
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+    ):
+        raise ReproError(f"seed must be null or a non-negative integer, got {seed!r}")
+    params["intervals"] = _positive_count("intervals", params["intervals"])
+    params["interval_s"] = _positive_number("interval_s", params["interval_s"])
+    params["demand"] = _positive_number("demand", params["demand"])
+    if params["trace"] == "constant" and params["demand"] > 1.0:
+        raise ReproError(f"demand must be in (0, 1], got {params['demand']!r}")
     return params
 
 
@@ -505,13 +548,16 @@ class ReproService:
             ctx=ctx,
         )
 
-    def _admit_or_shed(self, digest: str, ctx: RequestContext) -> None:
-        """Admission check for one digest, recorded on the request trace."""
+    def _admit_or_shed(self, params: Mapping[str, object], ctx: RequestContext) -> str:
+        """Digest one request's parameters and run the admission check on
+        the digest, both inside the trace's ``admission`` stage; returns
+        the digest."""
         with ctx.stage("admission") as st:
+            digest = ctx.digest = request_digest(params)
             if digest in self.cache:
                 ctx.admitted = True
                 st.set(resident=True, admitted=True)
-                return
+                return digest
             decision = self.admission.decide(self.batcher.depth)
             ctx.admitted = decision.admitted
             st.set(
@@ -522,6 +568,7 @@ class ReproService:
             )
             if not decision.admitted:
                 raise _Shed(digest)
+        return digest
 
     async def _space_entry(self, params: Dict[str, object], ctx: RequestContext):
         """The cached space entry for one request, with admission on misses.
@@ -529,9 +576,7 @@ class ReproService:
         Returns ``(entry, was_hit)``; raises ``_Shed`` when admission
         rejects a cold compute.
         """
-        digest = request_digest(params)
-        ctx.digest = digest
-        self._admit_or_shed(digest, ctx)
+        digest = self._admit_or_shed(params, ctx)
         with ctx.stage("cache") as st:
             entry, was_hit = await self.cache.get_or_compute(
                 digest,
@@ -598,9 +643,7 @@ class ReproService:
             params = _normalize_schedule_params(
                 _validated_params(body, _SCHEDULE_DEFAULTS, ())
             )
-        digest = request_digest(params)
-        ctx.digest = digest
-        self._admit_or_shed(digest, ctx)
+        digest = self._admit_or_shed(params, ctx)
         with ctx.stage("cache") as st:
             entry, was_hit = await self.cache.get_or_compute(
                 digest,

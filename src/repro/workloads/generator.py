@@ -30,6 +30,7 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.queueing.processes import PoissonProcess
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -246,20 +247,26 @@ class RequestGenerator:
         self._get_fraction = get_fraction
         self._rng = rng
 
-    def generate(self, duration_s: float) -> List[KeyValueRequest]:
-        """All requests arriving within ``duration_s`` (Poisson arrivals)."""
+    def generate_arrays(
+        self, duration_s: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The requests arriving within ``duration_s`` as three arrays:
+        arrival times, key ids and get flags.
+
+        Arrival times are Poisson, from the shared horizon sampler
+        :meth:`repro.queueing.processes.ArrivalSpec.arrivals_until`; the
+        keys, then the operations, are drawn after them.
+        """
         if duration_s <= 0:
             raise WorkloadError(f"duration must be positive, got {duration_s}")
-        n_expected = self._rate * duration_s
-        n_draw = int(n_expected + 6 * math.sqrt(n_expected) + 16)
-        gaps = self._rng.exponential(1.0 / self._rate, size=n_draw)
-        times = np.cumsum(gaps)
-        while times[-1] < duration_s:  # pragma: no cover - rare tail top-up
-            extra = self._rng.exponential(1.0 / self._rate, size=n_draw)
-            times = np.concatenate([times, times[-1] + np.cumsum(extra)])
-        times = times[times < duration_s]
+        times = PoissonProcess(self._rate).arrivals_until(self._rng, duration_s)
         keys = self._rng.integers(0, self._n_keys, size=len(times))
         gets = self._rng.random(len(times)) < self._get_fraction
+        return times, keys, gets
+
+    def generate(self, duration_s: float) -> List[KeyValueRequest]:
+        """All requests arriving within ``duration_s`` (Poisson arrivals)."""
+        times, keys, gets = self.generate_arrays(duration_s)
         return [
             KeyValueRequest(
                 arrival_s=float(t),

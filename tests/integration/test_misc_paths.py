@@ -24,12 +24,10 @@ class TestBatchArrivalsThroughDES:
     def test_batch_jobs_queue_behind_each_other(self, rng):
         """The paper's jobs-per-batch sweeps, driven through the simulator:
         every job of a batch after the first must wait."""
-        from repro.queueing import BatchArrivals, QueueSimulator
+        from repro.queueing import PoissonProcess, QueueSimulator
 
-        sim = QueueSimulator(
-            BatchArrivals(batch_rate=0.5, batch_size=4, rng=rng),
-            0.1,
-        )
+        epochs = PoissonProcess(0.5).sample_arrivals(rng, 100)
+        sim = QueueSimulator(np.repeat(epochs, 4), 0.1)  # 4 jobs per batch
         result = sim.run_jobs(400)
         # Jobs arriving inside a batch see at least one service of queueing.
         waits = np.sort(result.waits)
@@ -37,14 +35,12 @@ class TestBatchArrivalsThroughDES:
         assert np.mean(result.waits > 0) > 0.5
 
     def test_batch_utilisation_matches_rate(self, rng):
-        from repro.queueing import BatchArrivals, QueueSimulator
+        from repro.queueing import PoissonProcess, QueueSimulator
 
-        arrivals = BatchArrivals(batch_rate=1.0, batch_size=3, rng=rng)
-        sim = QueueSimulator(arrivals, 0.2)
+        epochs = PoissonProcess(1.0).arrivals_until(rng, 500.0)
+        sim = QueueSimulator(np.repeat(epochs, 3), 0.2)  # 3 jobs per batch
         result = sim.run(500.0)
-        assert result.utilisation == pytest.approx(
-            arrivals.rate * 0.2, rel=0.1
-        )
+        assert result.utilisation == pytest.approx(3 * 1.0 * 0.2, rel=0.1)
 
 
 class TestFigureDriversOtherInputs:

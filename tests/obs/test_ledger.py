@@ -110,6 +110,16 @@ class TestAppendOnly:
         assert names.count("cli/a") == 1
         assert names.count("cli/b") == 1
 
+    @pytest.mark.parametrize("line", ["[1]", "3", '"text"', "null"])
+    def test_non_object_line_does_not_poison_history(self, ledger, line):
+        ledger.append(_rec("cli/a"))
+        with open(ledger.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        ledger.append(_rec("cli/b"))
+        assert [r.name for r in ledger.records()] == ["cli/a", "cli/b"]
+        with pytest.raises(ReproError):
+            RunRecord.from_json(line)
+
     def test_filters_and_limit(self, ledger):
         ledger.append(_rec("cli/a"))
         ledger.append(_rec("bench/x", kind="benchmark"))

@@ -7,50 +7,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueueingError
-from repro.queueing.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.queueing.des import QueueSimulator, SimulationResult
+from repro.queueing.mc import MonteCarloQueue, scalar_lindley_waits, waits_agreement
 from repro.queueing.md1 import MD1Queue
 from repro.queueing.mg1 import MM1Queue
+from repro.queueing.processes import PoissonProcess, make_arrivals, make_service
+
+
+def _evenly_spaced(rate, horizon_s):
+    """Arrivals every ``1/rate`` seconds from t = 0, inside the horizon."""
+    period = 1.0 / rate
+    times = period * np.arange(int(np.floor(horizon_s / period)) + 1)
+    return times[times < horizon_s]
 
 
 class TestDeterministicScenarios:
     """Hand-computable schedules pin the FIFO recursion exactly."""
 
     def test_no_contention_no_wait(self):
-        sim = QueueSimulator(DeterministicArrivals(1.0), 0.5)
+        sim = QueueSimulator(_evenly_spaced(1.0, 10.0), 0.5)
         result = sim.run(10.0)
         assert np.all(result.waits == 0.0)
 
     def test_saturated_arrivals_queue_up(self):
         # Arrivals every 0.5 s, service 1 s: job n waits n * 0.5 s.
-        sim = QueueSimulator(DeterministicArrivals(2.0), 1.0)
+        sim = QueueSimulator(_evenly_spaced(2.0, 2.0), 1.0)
         result = sim.run(2.0)  # arrivals at 0, 0.5, 1.0, 1.5
         np.testing.assert_allclose(result.waits, [0.0, 0.5, 1.0, 1.5])
 
     def test_responses_are_wait_plus_service(self):
-        sim = QueueSimulator(DeterministicArrivals(2.0), 1.0)
+        sim = QueueSimulator(_evenly_spaced(2.0, 2.0), 1.0)
         result = sim.run(2.0)
         np.testing.assert_allclose(result.responses, result.waits + 1.0)
 
     def test_completions_sorted_fifo(self):
-        sim = QueueSimulator(DeterministicArrivals(3.0), 0.7)
+        sim = QueueSimulator(_evenly_spaced(3.0, 5.0), 0.7)
         result = sim.run(5.0)
         assert np.all(np.diff(result.completions) > 0)
 
     def test_busy_time(self):
-        sim = QueueSimulator(DeterministicArrivals(1.0), 0.25)
+        sim = QueueSimulator(_evenly_spaced(1.0, 4.0), 0.25)
         result = sim.run(4.0)  # 4 jobs
         assert result.busy_time_s == pytest.approx(1.0)
 
     def test_utilisation_never_above_one(self):
-        sim = QueueSimulator(DeterministicArrivals(10.0), 1.0)  # overloaded
+        sim = QueueSimulator(_evenly_spaced(10.0, 5.0), 1.0)  # overloaded
         result = sim.run(5.0)
         assert result.utilisation <= 1.0
 
 
 class TestInterface:
     def test_empty_horizon(self, rng):
-        sim = QueueSimulator(PoissonArrivals(0.001, rng), 1.0)
+        sim = QueueSimulator(PoissonProcess(0.001), 1.0, rng)
         result = sim.run(0.001)
         assert result.n_jobs in (0, 1)
 
@@ -81,15 +89,24 @@ class TestInterface:
 
     def test_random_service_needs_rng(self):
         with pytest.raises(QueueingError):
-            QueueSimulator(DeterministicArrivals(1.0), lambda r: 1.0, rng=None)
+            QueueSimulator(
+                _evenly_spaced(1.0, 3.0), lambda r, n: np.ones(n), rng=None
+            )
 
     def test_nonpositive_service_rejected(self):
         with pytest.raises(QueueingError):
-            QueueSimulator(DeterministicArrivals(1.0), 0.0)
+            QueueSimulator(_evenly_spaced(1.0, 3.0), 0.0)
+
+    @pytest.mark.parametrize("service", [float("nan"), float("inf")])
+    def test_non_finite_service_rejected_by_both_engines(self, service):
+        with pytest.raises(QueueingError):
+            QueueSimulator(_evenly_spaced(1.0, 3.0), service)
+        with pytest.raises(QueueingError):
+            MonteCarloQueue(1.0, service)
 
     def test_service_model_must_be_positive(self, rng):
         sim = QueueSimulator(
-            DeterministicArrivals(1.0), lambda r: -1.0, rng=rng
+            _evenly_spaced(1.0, 3.0), lambda r, n: np.full(n, -1.0), rng=rng
         )
         with pytest.raises(QueueingError):
             sim.run(3.0)
@@ -131,8 +148,10 @@ class TestAgainstAnalytics:
         rho, s = 0.6, 0.02
         q = MM1Queue.from_utilisation(rho, s)
         sim = QueueSimulator(
-            PoissonArrivals(q.arrival_rate, np.random.default_rng(31)),
-            lambda r: float(r.exponential(s)),
+            PoissonProcess(q.arrival_rate).sample_arrivals(
+                np.random.default_rng(31), 60_000
+            ),
+            lambda r, n: r.exponential(s, n),
             rng=np.random.default_rng(37),
         )
         result = sim.run_jobs(60_000)
@@ -153,24 +172,6 @@ class TestAgainstAnalytics:
             )
 
 
-class _ScriptedService:
-    """A stateful service model yielding a scripted sequence of times.
-
-    Stateful on purpose: any re-sampling (e.g. a horizon retry drawing
-    services twice) shifts the sequence and changes the waits, so these
-    tests detect it.
-    """
-
-    def __init__(self, times):
-        self._times = list(times)
-        self._i = 0
-
-    def __call__(self, rng):
-        t = self._times[self._i % len(self._times)]
-        self._i += 1
-        return t
-
-
 class TestMultiServerUtilisation:
     """S1 regression: utilisation must use per-server busy spans."""
 
@@ -180,8 +181,8 @@ class TestMultiServerUtilisation:
         # exactly 1.0.  The old formula divided total busy time (10 s) by
         # n_servers * last completion (2 * 9 s) and reported ~0.556.
         sim = QueueSimulator(
-            DeterministicArrivals(1e9),  # arrivals at ~0, ~0: effectively a batch
-            _ScriptedService([1.0, 9.0]),
+            np.arange(2) / 1e9,  # arrivals at ~0, ~0: effectively a batch
+            lambda r, n: np.array([1.0, 9.0]),
             rng,
             n_servers=2,
         )
@@ -190,8 +191,8 @@ class TestMultiServerUtilisation:
 
     def test_result_exposes_server_completions(self, rng):
         sim = QueueSimulator(
-            PoissonArrivals(2.0, rng),
-            lambda r: float(r.exponential(0.4)),
+            PoissonProcess(2.0),
+            lambda r, n: r.exponential(0.4, n),
             rng,
             n_servers=3,
         )
@@ -216,34 +217,13 @@ class TestMultiServerUtilisation:
         assert result.utilisation == pytest.approx(10.0 / 18.0)
 
     def test_single_server_unchanged(self):
-        sim = QueueSimulator(DeterministicArrivals(1.0), 0.25)
+        sim = QueueSimulator(_evenly_spaced(1.0, 4.0), 0.25)
         result = sim.run(4.0)  # 4 jobs, busy 1 s over the 4 s horizon
         assert result.utilisation == pytest.approx(0.25)
 
 
 class TestSeedDeterminism:
     """S2 regression: run_jobs randomness depends only on seeds and n."""
-
-    @staticmethod
-    def _run(horizon_hint, seed=4242):
-        sim = QueueSimulator(
-            PoissonArrivals(5.0, np.random.default_rng(seed)),
-            _ScriptedService([0.1, 0.3, 0.05, 0.2]),
-            np.random.default_rng(seed + 1),
-        )
-        return sim.run_jobs(300, horizon_hint_s=horizon_hint)
-
-    def test_horizon_hint_does_not_change_randomness(self):
-        # Before the fix, a too-small first horizon guess triggered retries
-        # that advanced the arrival stream and re-drew services, so the
-        # realised sample depended on the hint.  Now arrivals come from one
-        # first_n batch and services are drawn once, post-truncation.
-        base = self._run(None)
-        for hint in (1e-6, 1.0, 1e9):
-            other = self._run(hint)
-            np.testing.assert_array_equal(base.arrivals, other.arrivals)
-            np.testing.assert_array_equal(base.services, other.services)
-            np.testing.assert_array_equal(base.waits, other.waits)
 
     def test_same_seed_same_result(self, rng):
         a = QueueSimulator.md1(
@@ -256,44 +236,29 @@ class TestSeedDeterminism:
         np.testing.assert_array_equal(a.waits, b.waits)
 
 
-class TestEngineParity:
-    """The vectorized fast path against the scalar oracle loop."""
+class TestOneSimulator:
+    """The DES is one replication of the Monte-Carlo engine.
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(QueueingError):
-            QueueSimulator(DeterministicArrivals(1.0), 0.5, engine="magic")
+    Run on MC's spawned generator ``r``, the DES reproduces
+    ``simulate_waits`` row ``r`` bit for bit, and both match the scalar
+    Lindley oracle within the span-normalised 1e-12 contract.
+    """
 
-    @pytest.mark.parametrize("engine_pair", [("vectorized", "scalar")])
-    def test_md1_engines_agree(self, engine_pair):
-        results = [
-            QueueSimulator(
-                PoissonArrivals(0.7, np.random.default_rng(55)),
-                1.0,
-                engine=engine,
-            ).run_jobs(5_000)
-            for engine in engine_pair
-        ]
-        span = max(1.0, float(results[0].completions[-1]))
-        assert (
-            np.max(np.abs(results[0].waits - results[1].waits)) / span
-            <= 1e-12
+    @pytest.mark.parametrize("service", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("arrival", ["poisson", "mmpp"])
+    def test_des_equals_mc_replication(self, arrival, service):
+        n_jobs, n_reps = 3_000, 4
+        mc = MonteCarloQueue(
+            make_arrivals(arrival, 0.7), make_service(service, 1.0), seed=2016
         )
-
-    def test_service_model_engines_agree(self):
-        results = [
-            QueueSimulator(
-                PoissonArrivals(2.0, np.random.default_rng(66)),
-                lambda r: float(r.exponential(0.45)),
-                np.random.default_rng(67),
-                engine=engine,
-            ).run_jobs(5_000)
-            for engine in ("vectorized", "scalar")
-        ]
-        np.testing.assert_array_equal(
-            results[0].services, results[1].services
-        )
-        span = max(1.0, float(results[0].completions[-1]))
-        assert (
-            np.max(np.abs(results[0].waits - results[1].waits)) / span
-            <= 1e-12
-        )
+        rows = mc.simulate_waits(n_jobs, n_reps)
+        for r, rng in enumerate(mc.spawn_generators(n_reps)):
+            result = QueueSimulator(
+                make_arrivals(arrival, 0.7), make_service(service, 1.0), rng
+            ).run_jobs(n_jobs)
+            np.testing.assert_array_equal(result.waits, rows[r])
+            oracle = scalar_lindley_waits(result.arrivals, result.services)
+            assert (
+                waits_agreement(rows[r], oracle, result.arrivals, result.services)
+                <= 1e-12
+            )

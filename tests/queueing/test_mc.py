@@ -163,12 +163,6 @@ class TestMonteCarloQueue:
         many = q.simulate_waits(200, 6)
         np.testing.assert_array_equal(few, many[:3])
 
-    def test_engines_agree_on_identical_randomness(self):
-        q = MonteCarloQueue(0.8, exponential_service(1.0), seed=11)
-        vec = q.simulate_waits(2_000, 4)
-        ora = q.simulate_waits(2_000, 4, engine="scalar")
-        assert np.max(np.abs(vec - ora)) <= AGREEMENT * vec.max()
-
     def test_run_matches_simulate_waits(self):
         """run()'s on-the-fly reduction equals percentiles of the full
         wait matrix."""
@@ -226,8 +220,6 @@ class TestMonteCarloQueue:
             MonteCarloQueue(1.0, 1.0).run(0, 1)
         with pytest.raises(QueueingError):
             MonteCarloQueue(1.0, 1.0).run(10, 0)
-        with pytest.raises(QueueingError):
-            MonteCarloQueue(1.0, 1.0).simulate_waits(10, 2, engine="magic")
 
     def test_bad_sampler_shape_rejected(self):
         q = MonteCarloQueue(1.0, lambda rng, size: np.ones(size + 1))

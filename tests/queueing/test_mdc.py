@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueueingError
-from repro.queueing.arrivals import PoissonArrivals
 from repro.queueing.des import QueueSimulator
 from repro.queueing.md1 import MD1Queue
 from repro.queueing.mdc import MDCQueue
+from repro.queueing.processes import PoissonProcess
 
 
 class TestConstruction:
@@ -133,8 +133,9 @@ class TestAgainstDES:
     def test_wait_cdf_matches_simulation(self, rho, c):
         q = MDCQueue.from_utilisation(rho, 1.0, c)
         sim = QueueSimulator(
-            PoissonArrivals(q.arrival_rate, np.random.default_rng(11)),
+            PoissonProcess(q.arrival_rate),
             1.0,
+            np.random.default_rng(11),
             n_servers=c,
         ).run_jobs(40_000)
         for t in (0.0, 0.5, 1.0, 3.0):
@@ -145,8 +146,9 @@ class TestAgainstDES:
     def test_mean_wait_matches_simulation(self):
         q = MDCQueue.from_utilisation(0.7, 1.0, 2)
         sim = QueueSimulator(
-            PoissonArrivals(q.arrival_rate, np.random.default_rng(13)),
+            PoissonProcess(q.arrival_rate),
             1.0,
+            np.random.default_rng(13),
             n_servers=2,
         ).run_jobs(100_000)
         assert sim.waits.mean() == pytest.approx(q.mean_wait_s(), rel=0.1)
@@ -157,8 +159,9 @@ class TestAgainstDES:
         """Property: the Franx M/D/c CDF tracks the multi-server DES."""
         q = MDCQueue.from_utilisation(rho, 1.0, c)
         sim = QueueSimulator(
-            PoissonArrivals(q.arrival_rate, np.random.default_rng(17)),
+            PoissonProcess(q.arrival_rate),
             1.0,
+            np.random.default_rng(17),
             n_servers=c,
         ).run_jobs(8_000)
         for t in (0.0, 1.0, 4.0):

@@ -5,7 +5,7 @@ specs (Poisson arrivals, deterministic/exponential service) into the
 Monte-Carlo engine, the DES and the scheduler reproduces the legacy
 float-argument results *bit-for-bit* — the plug-in layer costs nothing
 and changes nothing until a non-baseline process is asked for.  These
-tests pin that promise, the arrivals.py delegation seam, the
+tests pin that promise, the shared horizon sampler, the
 scheduler-trace unification, and the constructors' validation.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.errors import QueueingError
-from repro.queueing.arrivals import PoissonArrivals, ProcessArrivals
 from repro.queueing.des import QueueSimulator
 from repro.queueing.mc import MonteCarloQueue, exponential_service
 from repro.queueing.processes import (
@@ -85,17 +84,17 @@ class TestLegacyBitIdentity:
 
 
 class TestArrivalsSeam:
-    """queueing.arrivals delegates its sampling to the process specs."""
+    """Both queue engines draw arrivals through the process specs."""
 
     def test_poisson_first_n_matches_legacy_formula(self):
         # The pre-delegation implementation: exponential gaps, cumsum.
         legacy = np.cumsum(np.random.default_rng(42).exponential(1.0 / 2.5, 64))
-        delegated = PoissonArrivals(2.5, np.random.default_rng(42)).first_n(64)
+        delegated = PoissonProcess(2.5).sample_arrivals(np.random.default_rng(42), 64)
         assert np.array_equal(legacy, delegated)
 
     def test_poisson_horizon_matches_legacy_formula(self):
         rng = np.random.default_rng(7)
-        times = PoissonArrivals(4.0, rng).arrival_times(50.0)
+        times = PoissonProcess(4.0).arrivals_until(rng, 50.0)
         expected = 4.0 * 50.0
         chunk = int(expected + 6.0 * np.sqrt(expected) + 16)
         legacy = np.cumsum(
@@ -107,21 +106,20 @@ class TestArrivalsSeam:
     def test_process_arrivals_first_n_is_exact(self):
         spec = FlashCrowd(3.0)
         direct = spec.sample_arrivals(np.random.default_rng(3), 100)
-        wrapped = ProcessArrivals(spec, np.random.default_rng(3)).first_n(100)
-        assert np.array_equal(direct, wrapped)
+        simulated = QueueSimulator(spec, 0.1, np.random.default_rng(3)).run_jobs(100)
+        assert np.array_equal(direct, simulated.arrivals)
 
     def test_process_arrivals_horizon_sorted_and_bounded(self):
-        wrapped = ProcessArrivals(
-            MarkovModulatedPoisson(5.0), np.random.default_rng(11)
+        times = MarkovModulatedPoisson(5.0).arrivals_until(
+            np.random.default_rng(11), 30.0
         )
-        times = wrapped.arrival_times(30.0)
         assert times.size > 0
         assert float(times[-1]) < 30.0
         assert np.all(np.diff(times) >= 0.0)
 
     def test_process_arrivals_rejects_non_spec(self):
         with pytest.raises(QueueingError):
-            ProcessArrivals(3.0, np.random.default_rng(0))
+            QueueSimulator(3.0, 0.5, np.random.default_rng(0))
 
 
 class TestSchedulerTraceSeam:
@@ -165,7 +163,7 @@ class TestDesIntegration:
             PoissonProcess(1.5), DeterministicService(0.4), np.random.default_rng(8)
         ).run_jobs(300)
         b = QueueSimulator(
-            PoissonArrivals(1.5, np.random.default_rng(8)), 0.4
+            PoissonProcess(1.5).sample_arrivals(np.random.default_rng(8), 300), 0.4
         ).run_jobs(300)
         assert np.array_equal(a.responses, b.responses)
 

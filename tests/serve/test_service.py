@@ -15,7 +15,13 @@ import pytest
 import repro
 from repro.cluster.search import recommend_exhaustive
 from repro.serve.loadgen import _HttpClient
-from repro.serve.service import ReproService, ServeConfig, _build_space_payload
+from repro.serve.service import (
+    MAX_SPACE_CONFIGS,
+    ReproService,
+    ServeConfig,
+    _build_space_payload,
+    _normalize_space_params,
+)
 
 #: A deliberately small space so each cold sweep is milliseconds.
 SPACE = {"max_wimpy": 2, "max_brawny": 1}
@@ -211,6 +217,8 @@ class TestInputValidation:
             ("/frontier", {"max_wimpy": "2"}),
             ("/frontier", {"max_brawny": 0}),
             ("/frontier", {"workload": 5}),
+            ("/frontier", {"max_wimpy": 10_000}),
+            ("/recommend", {"max_brawny": 10**6}),
         ],
     )
     def test_bad_space_parameter_is_a_400_without_compute(self, path, bad):
@@ -225,6 +233,43 @@ class TestInputValidation:
         assert status == 400
         assert next(iter(bad)) in doc["error"]
         assert cached == started == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"intervals": "2"},
+            {"demand": True},
+            {"seed": -1},
+            {"demand": float("nan"), "trace": "constant"},
+            {"interval_s": -20.0},
+            {"intervals": 0},
+            {"policy": "fastest"},
+            {"workload": 5},
+        ],
+    )
+    def test_bad_schedule_parameter_is_a_400_without_compute(self, bad):
+        async def scenario(service, client):
+            status, doc = await client.request(
+                "POST", "/schedule", {"workload": "EP", "intervals": 4, **bad}
+            )
+            return status, doc, service.cache.computes, service.batcher.computes
+
+        status, doc, cached, started = run_with_service(scenario)
+        assert status == 400
+        assert next(iter(bad)) in doc["error"]
+        assert cached == started == 0
+
+    def test_space_limit_admits_the_paper_spaces(self):
+        for wimpy, brawny, n_configs in ((10, 10, 36_380), (128, 16, 740_128)):
+            params = _normalize_space_params(
+                {"workload": "EP", "max_wimpy": wimpy, "max_brawny": brawny,
+                 "budget_w": None}
+            )
+            spaces = [
+                repro.TypeSpace(repro.get_node_spec("A9"), n_max=params["max_wimpy"]),
+                repro.TypeSpace(repro.get_node_spec("K10"), n_max=params["max_brawny"]),
+            ]
+            assert repro.count_configurations(spaces) == n_configs <= MAX_SPACE_CONFIGS
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
     def test_malformed_content_length_is_a_400_and_close(self, length):

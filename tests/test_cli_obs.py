@@ -134,6 +134,14 @@ class TestObsReport:
         assert "Run ledger dashboard" in out
         assert "exp/a" in out
 
+    def test_non_object_ledger_line_is_skipped(self, capsys):
+        main(["obs", "record", "--name", "exp/a", "--scalar", "v=1"])
+        with open(default_ledger().path, "a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
+        capsys.readouterr()
+        assert main(["obs", "report"]) == 0
+        assert "exp/a" in capsys.readouterr().out
+
 
 class TestObsDiff:
     def test_injected_regression_exits_nonzero(self, capsys, tmp_path):
@@ -266,6 +274,26 @@ class TestObsFlight:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro-flight/1"
         assert doc["requests"][0]["request_id"] == "lg-test-000001"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[1, 2]",
+            '{"schema": "repro-flight/1", "requests": 3}',
+            '{"schema": "repro-flight/1", "requests": [1]}',
+            '{"schema": "repro-flight/1", "requests": [], "slowest": 5}',
+        ],
+    )
+    def test_malformed_dump_is_listed_unreadable(self, capsys, tmp_path, content):
+        good = _write_flight_dump(tmp_path)
+        bad = tmp_path / "flight-zzz.json"  # sorts last, so --last picks it
+        bad.write_text(content, encoding="utf-8")
+        assert main(["obs", "flight", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{bad.name}  UNREADABLE" in out and good.name in out
+        assert main(["obs", "flight", "--dir", str(tmp_path), "--last"]) == 1
+        assert "cannot read flight dump" in capsys.readouterr().err
+        assert main(["obs", "flight", "--dump", str(bad)]) == 1
 
     def test_unreadable_dump_is_an_error(self, capsys, tmp_path):
         bogus = tmp_path / "flight-x.json"
